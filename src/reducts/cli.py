@@ -4,8 +4,10 @@ Two input formats are understood: a CSV table whose header row names the
 attributes (optionally with a leading object-label column via --id-col),
 and a JSON file holding a raw set family as an array of arrays of
 attribute names.  The kind is inferred from the file extension and can be
-forced with --kind.  Every subcommand emits either a plain-text report or
-a canonical JSON document; JSON output re-serializes byte-identically.
+forced with --kind.  Each subcommand builds one result object: --format
+json prints it as a canonical JSON document that re-serializes
+byte-identically, and the plain-text report is rendered from that same
+object, so the two formats cannot disagree.
 
 Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
 violation, 3 resource cap exceeded.
@@ -128,14 +130,16 @@ def _pad(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def _set_str(loaded: _Loaded, attrs) -> str:
-    return "{" + ", ".join(loaded.set_names(attrs)) + "}"
+def _braces(names: list[str]) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
-def _family_str(loaded: _Loaded, fam) -> str:
-    if not len(fam):
-        return "(empty)"
-    return ", ".join(_set_str(loaded, m) for m in fam)
+def _members(family: list[list[str]]) -> str:
+    return ", ".join(_braces(m) for m in family) or "(empty)"
+
+
+def _listing(names: list[str]) -> str:
+    return ", ".join(names) or "(none)"
 
 
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
@@ -152,24 +156,21 @@ def _cmd_matrix(loaded: _Loaded, config: RunConfig):
         "pairs": pairs,
         "family": loaded.family_names(dm.family),
     }
-    lines = [f"discernibility matrix: {system.n_objects} objects, "
-             f"{system.n_attributes} attributes"]
-    if pairs:
-        n = system.n_objects
-        head = [""] + [loaded.labels[j] for j in range(1, n)]
-        grid = [head]
+    return result, []
+
+
+def _text_matrix(loaded: _Loaded, result: dict) -> list[str]:
+    n = len(loaded.labels)
+    lines = [f"discernibility matrix: {n} objects, {len(loaded.names)} attributes"]
+    if result["pairs"]:
+        cells = iter(result["pairs"])  # upper triangle, row-major
+        grid = [[""] + list(loaded.labels[1:])]
         for i in range(n - 1):
-            row = [loaded.labels[i]]
-            for j in range(1, n):
-                if j <= i:
-                    row.append("")
-                else:
-                    cell = ", ".join(loaded.set_names(dm.entry(i, j)))
-                    row.append(cell or "-")
-            grid.append(row)
+            row = [", ".join(next(cells)["attributes"]) or "-" for _ in range(i + 1, n)]
+            grid.append([loaded.labels[i]] + [""] * i + row)
         lines += _pad(grid)
-    lines.append(f"family: {_family_str(loaded, dm.family)}")
-    return result, lines, []
+    lines.append(f"family: {_members(result['family'])}")
+    return lines
 
 
 def _cmd_classify(loaded: _Loaded, config: RunConfig):
@@ -191,22 +192,21 @@ def _cmd_classify(loaded: _Loaded, config: RunConfig):
         "unnecessary": loaded.set_names(report.unnecessary),
         "families": families,
     }
+    return result, []
+
+
+def _text_classify(loaded: _Loaded, result: dict) -> list[str]:
     lines = [
-        f"core: {', '.join(result['core']) or '(none)'}",
-        f"relative necessary: {', '.join(result['relative_necessary']) or '(none)'}",
-        f"unnecessary: {', '.join(result['unnecessary']) or '(none)'}",
+        f"core: {_listing(result['core'])}",
+        f"relative necessary: {_listing(result['relative_necessary'])}",
+        f"unnecessary: {_listing(result['unnecessary'])}",
         "",
     ]
-    for a in sorted(report.by_attr):
-        name = loaded.names[a]
-        lines.append(f"{name}: {report.character(a).value}")
-        lines.append(
-            f"  containing: {_family_str(loaded, containing_sets(loaded.family, a))}"
-        )
-        lines.append(
-            f"  substitutes: {_family_str(loaded, substitute_sets(loaded.family, a))}"
-        )
-    return result, lines, []
+    for name, families in result["families"].items():
+        lines.append(f"{name}: {result['characters'][name]}")
+        lines.append(f"  containing: {_members(families['containing'])}")
+        lines.append(f"  substitutes: {_members(families['substitutes'])}")
+    return lines
 
 
 def _trace_json(loaded: _Loaded, trace: ReductTrace) -> list[dict]:
@@ -238,41 +238,30 @@ def _trace_json(loaded: _Loaded, trace: ReductTrace) -> list[dict]:
     return steps
 
 
-def _trace_lines(loaded: _Loaded, trace: ReductTrace) -> list[str]:
+def _trace_lines(algorithm: str, steps: list[dict]) -> list[str]:
     lines = []
-    for k, step in enumerate(trace.steps, start=1):
-        if trace.algorithm == "yao":
+    for k, step in enumerate(steps, start=1):
+        if algorithm == "yao":
             lines.append(
-                f"step {k}: entry {step.pivot} absorbed to "
-                f"{_set_str(loaded, step.absorbed)}, chose {loaded.names[step.chosen]}"
+                f"step {k}: entry {step['pivot']} absorbed to "
+                f"{_braces(step['absorbed'])}, chose {step['chosen']}"
             )
-            entries = ", ".join(_set_str(loaded, e) for e in step.entries_after)
-            lines.append(f"  entries now: {entries}")
+            lines.append(f"  entries now: {_members(step['entries_after'])}")
+            continue
+        chosen = step["chosen"]
+        lines.append(f"step {k}: examining {chosen}")
+        lines.append(f"  containing: {_members(step['containing'])}")
+        lines.append(f"  substitutes: {_members(step['substitutes'])}")
+        lines.append(f"  inner reduct: {_braces(step['inner_reduct'])}")
+        if not step["chosen_added"]:
+            lines.append(f"  dropped {chosen}")
+        elif step["blocked"] is None:
+            lines.append(f"  kept {chosen}")
         else:
-            lines.append(f"step {k}: examining {loaded.names[step.chosen]}")
             lines.append(
-                f"  containing: {_family_str(loaded, step.containing)}"
+                f"  kept {chosen} (no inner attribute hits {_braces(step['blocked'])})"
             )
-            lines.append(
-                f"  substitutes: {_family_str(loaded, step.substitutes)}"
-            )
-            lines.append(
-                f"  inner reduct: {_set_str(loaded, step.inner_reduct)}"
-            )
-            if step.a_added:
-                lines.append(
-                    f"  kept {loaded.names[step.chosen]}"
-                    + (
-                        f" (no inner attribute hits {_set_str(loaded, step.blocked)})"
-                        if step.blocked is not None
-                        else ""
-                    )
-                )
-            else:
-                lines.append(f"  dropped {loaded.names[step.chosen]}")
-            lines.append(
-                f"  family now: {_family_str(loaded, step.family_after)}"
-            )
+        lines.append(f"  family now: {_members(step['family_after'])}")
     return lines
 
 
@@ -286,7 +275,7 @@ def _cmd_reduct(loaded: _Loaded, config: RunConfig):
     check = verify_reduct(loaded.family, reduct)
     if not check.is_valid:
         raise InvariantViolation(
-            f"{trace.algorithm} produced {_set_str(loaded, reduct)}, "
+            f"{trace.algorithm} produced {_braces(loaded.set_names(reduct))}, "
             f"which fails verification: {check.status.value}"
         )
     result = {
@@ -295,22 +284,24 @@ def _cmd_reduct(loaded: _Loaded, config: RunConfig):
         "reduct": loaded.set_names(reduct),
         "valid": True,
     }
-    trimmed = trace.minimized and trace.before_minimize != reduct
-    if trimmed:
+    if trace.minimized and trace.before_minimize != reduct:
         result["raw"] = loaded.set_names(trace.before_minimize)
     if config.verbose:
         result["trace"] = _trace_json(loaded, trace)
+    return result, []
+
+
+def _text_reduct(loaded: _Loaded, result: dict) -> list[str]:
     lines = [
-        f"algorithm: {trace.algorithm}  selection: {config.policy.value}",
-        f"reduct: {_set_str(loaded, reduct)}",
-        "valid: yes",
+        f"algorithm: {result['algorithm']}  selection: {result['policy']}",
+        f"reduct: {_braces(result['reduct'])}",
     ]
-    if trimmed:
-        lines.insert(2, f"raw result before minimization: "
-                        f"{_set_str(loaded, trace.before_minimize)}")
-    if config.verbose:
-        lines += [""] + _trace_lines(loaded, trace)
-    return result, lines, []
+    if "raw" in result:
+        lines.append(f"raw result before minimization: {_braces(result['raw'])}")
+    lines.append(f"valid: {'yes' if result['valid'] else 'no'}")
+    if "trace" in result:
+        lines += [""] + _trace_lines(result["algorithm"], result["trace"])
+    return lines
 
 
 def _cap_warning(config: RunConfig, default: int) -> tuple[int, list[str]]:
@@ -337,9 +328,11 @@ def _cmd_all_reducts(loaded: _Loaded, config: RunConfig):
         "reducts": loaded.family_names(reducts),
         "count": len(reducts),
     }
-    lines = [f"{len(reducts)} reduct(s)"]
-    lines += [_set_str(loaded, r) for r in reducts]
-    return result, lines, warnings
+    return result, warnings
+
+
+def _text_all_reducts(loaded: _Loaded, result: dict) -> list[str]:
+    return [f"{result['count']} reduct(s)"] + [_braces(r) for r in result["reducts"]]
 
 
 def _cmd_relations(loaded: _Loaded, config: RunConfig):
@@ -354,43 +347,35 @@ def _cmd_relations(loaded: _Loaded, config: RunConfig):
             loaded.family, _universe(loaded), queries
         )
     result = {
-        "finer": [[loaded.names[a], loaded.names[b]] for a, b in report.finer_pairs],
-        "equivalent": [
-            [loaded.names[a], loaded.names[b]] for a, b in report.equivalent_pairs
-        ],
-        "coupled": [
-            [loaded.names[a], loaded.names[b]] for a, b in report.coupled_pairs
-        ],
-        "exclusions": [
-            {
-                "given": loaded.set_names(c),
-                "attribute": loaded.names[a],
-                "excluded": verdict,
-            }
-            for c, a, verdict in report.exclusions
-        ],
-    }
-    lines = []
-    lines.append(
-        "finer: "
-        + (
-            "; ".join(f"{x} refines {y}" for x, y in result["finer"])
-            or "(none)"
+        key: [[loaded.names[a], loaded.names[b]] for a, b in pairs]
+        for key, pairs in (
+            ("finer", report.finer_pairs),
+            ("equivalent", report.equivalent_pairs),
+            ("coupled", report.coupled_pairs),
         )
-    )
-    lines.append(
-        "equivalent: "
-        + ("; ".join(f"{x} ~ {y}" for x, y in result["equivalent"]) or "(none)")
-    )
-    lines.append(
-        "coupled: "
-        + ("; ".join(f"{x} with {y}" for x, y in result["coupled"]) or "(none)")
-    )
+    }
+    result["exclusions"] = [
+        {
+            "given": loaded.set_names(c),
+            "attribute": loaded.names[a],
+            "excluded": verdict,
+        }
+        for c, a, verdict in report.exclusions
+    ]
+    return result, []
+
+
+def _text_relations(loaded: _Loaded, result: dict) -> list[str]:
+    lines = [
+        f"{key}: " + ("; ".join(f"{x} {verb} {y}" for x, y in result[key]) or "(none)")
+        for key, verb in (("finer", "refines"), ("equivalent", "~"), ("coupled", "with"))
+    ]
     for entry in result["exclusions"]:
-        given = "{" + ", ".join(entry["given"]) + "}"
         verdict = "yes" if entry["excluded"] else "no"
-        lines.append(f"excludes {entry['attribute']} given {given}: {verdict}")
-    return result, lines, []
+        lines.append(
+            f"excludes {entry['attribute']} given {_braces(entry['given'])}: {verdict}"
+        )
+    return lines
 
 
 def _cmd_audit(loaded: _Loaded, config: RunConfig):
@@ -410,31 +395,36 @@ def _cmd_audit(loaded: _Loaded, config: RunConfig):
         ]
         for claim, rows in report.by_claim().items()
     }
-    disagreements = report.disagreements()
     result = {
         "claims": claims,
         "all_agree": report.all_agree,
-        "disagreements": len(disagreements),
+        "disagreements": len(report.disagreements()),
     }
-    lines = [_fmt_claim_summary(claim, rows) for claim, rows in sorted(claims.items())]
-    if disagreements:
-        lines.append("")
-        for inst in disagreements:
-            lines.append(
-                f"disagreement: {inst.claim} at {inst.subject} "
-                f"(lhs={inst.lhs}, rhs={inst.rhs})"
-            )
-            lines.append(f"  {inst.counterexample}")
-    else:
-        lines.append("")
+    return result, warnings
+
+
+def _text_audit(loaded: _Loaded, result: dict) -> list[str]:
+    claims = sorted(result["claims"].items())
+    lines = []
+    for claim, rows in claims:
+        bad = sum(1 for row in rows if not row["agree"])
+        state = "all agree" if bad == 0 else f"{bad} disagreement(s)"
+        lines.append(f"{claim}: {len(rows)} instance(s), {state}")
+    lines.append("")
+    if result["all_agree"]:
         lines.append("every audited claim agrees on this table")
-    return result, lines, warnings
+    for claim, rows in claims:
+        for row in rows:
+            if not row["agree"]:
+                lines.append(
+                    f"disagreement: {claim} at {row['subject']} "
+                    f"(lhs={row['lhs']}, rhs={row['rhs']})"
+                )
+                lines.append(f"  {row['counterexample']}")
+    return lines
 
 
-def _fmt_claim_summary(claim: str, rows: list[dict]) -> str:
-    bad = sum(1 for r in rows if not r["agree"])
-    state = "all agree" if bad == 0 else f"{bad} disagreement(s)"
-    return f"{claim}: {len(rows)} instance(s), {state}"
+_SINGLETON_CHECKS = ("in_cover", "minimal_is_singleton", "lower_is_self", "minimal_is_lower")
 
 
 def _cmd_covering(loaded: _Loaded, config: RunConfig):
@@ -446,46 +436,47 @@ def _cmd_covering(loaded: _Loaded, config: RunConfig):
         for a in uncovered
     ]
     per_attr = {}
-    grid = [["attribute", "minimal description", "neighborhood",
-             "in cover", "single minimal", "lower is self", "minimal is lower"]]
     for a in sorted(space.ground):
-        md = minimal_description(space, a)
-        nb = neighborhood(space, a)
         checks = singleton_equivalences(space, a)
         per_attr[loaded.names[a]] = {
-            "minimal_description": loaded.family_names(md),
-            "neighborhood": loaded.set_names(nb),
-            "in_cover": checks.in_cover,
-            "minimal_is_singleton": checks.minimal_is_singleton,
-            "lower_is_self": checks.lower_is_self,
-            "minimal_is_lower": checks.minimal_is_lower,
+            "minimal_description": loaded.family_names(minimal_description(space, a)),
+            "neighborhood": loaded.set_names(neighborhood(space, a)),
+            **{check: getattr(checks, check) for check in _SINGLETON_CHECKS},
             "all_true": checks.all_true,
         }
-        grid.append(
-            [
-                loaded.names[a],
-                _family_str(loaded, md),
-                _set_str(loaded, nb),
-            ]
-            + ["yes" if v else "no" for v in checks.as_tuple()]
-        )
     result = {
         "ground": loaded.set_names(space.ground),
         "cover": loaded.family_names(space.cover),
         "elements": per_attr,
     }
-    lines = _pad(grid) if len(grid) > 1 else ["(empty covering space)"]
-    return result, lines, warnings
+    return result, warnings
 
 
+def _text_covering(loaded: _Loaded, result: dict) -> list[str]:
+    grid = [["attribute", "minimal description", "neighborhood",
+             "in cover", "single minimal", "lower is self", "minimal is lower"]]
+    for name, element in result["elements"].items():
+        grid.append(
+            [
+                name,
+                _members(element["minimal_description"]),
+                _braces(element["neighborhood"]),
+            ]
+            + ["yes" if element[check] else "no" for check in _SINGLETON_CHECKS]
+        )
+    return _pad(grid) if len(grid) > 1 else ["(empty covering space)"]
+
+
+# Each subcommand: a builder returning (result, warnings) and a renderer
+# that reads only that result (plus input labels) for the text report.
 _COMMANDS = {
-    "matrix": _cmd_matrix,
-    "classify": _cmd_classify,
-    "reduct": _cmd_reduct,
-    "all-reducts": _cmd_all_reducts,
-    "relations": _cmd_relations,
-    "audit": _cmd_audit,
-    "covering": _cmd_covering,
+    "matrix": (_cmd_matrix, _text_matrix),
+    "classify": (_cmd_classify, _text_classify),
+    "reduct": (_cmd_reduct, _text_reduct),
+    "all-reducts": (_cmd_all_reducts, _text_all_reducts),
+    "relations": (_cmd_relations, _text_relations),
+    "audit": (_cmd_audit, _text_audit),
+    "covering": (_cmd_covering, _text_covering),
 }
 
 
@@ -493,7 +484,8 @@ def run(config: RunConfig, out=None) -> int:
     """Execute one subcommand and write its report to ``out``."""
     out = out if out is not None else sys.stdout
     loaded = _load(config)
-    result, lines, warnings = _COMMANDS[config.command](loaded, config)
+    build, render = _COMMANDS[config.command]
+    result, warnings = build(loaded, config)
     if config.fmt == "json":
         report = {
             "command": config.command,
@@ -504,7 +496,7 @@ def run(config: RunConfig, out=None) -> int:
         }
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        for line in lines:
+        for line in render(loaded, result):
             out.write(line + "\n")
         for warning in warnings:
             out.write(f"warning: {warning}\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discern import SetFamily
+from .discern import SetFamily, absorb
 from .errors import InputError
 from .model import AttrSet
 
@@ -95,14 +95,7 @@ def _containing(space: CoveringSpace, x: int) -> list[AttrSet]:
 
 def minimal_description(space: CoveringSpace, x: int) -> SetFamily:
     """The inclusion-minimal cover members containing ``x``, in cover order."""
-    containing = _containing(space, x)
-    return SetFamily(
-        tuple(
-            k
-            for k in containing
-            if not any(other < k for other in containing if other is not k)
-        )
-    )
+    return absorb(SetFamily(tuple(_containing(space, x)))).minimal
 
 
 def neighborhood(space: CoveringSpace, x: int) -> AttrSet:

@@ -108,13 +108,6 @@ class InformationSystem:
     def attr_subset(self, names: Iterable[str]) -> AttrSet:
         return frozenset(self.attr_index(name) for name in names)
 
-    def attr_names(self, attrs: Iterable[int]) -> list[str]:
-        """Names for an index set, sorted for stable display."""
-        return sorted(self.attributes[i] for i in attrs)
-
-    def value(self, obj: int, attr: int) -> Value:
-        return self.rows[obj][attr]
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -141,12 +134,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, obj: int) -> ObjSet:
-        for block in self.blocks:
-            if obj in block:
-                return block
-        raise InputError(f"object {obj} not covered by partition")
 
 
 def indiscernibility_partition(system: InformationSystem, attrs: AttrSet) -> Partition:

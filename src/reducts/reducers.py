@@ -33,7 +33,6 @@ __all__ = [
     "verify_reduct",
     "all_reducts_bruteforce",
     "yao_row_wise",
-    "red_of_family",
     "ea_reduce",
 ]
 
@@ -220,11 +219,6 @@ def yao_row_wise(
     return result, trace
 
 
-def red_of_family(family: SetFamily, policy: SelectionPolicy) -> AttrSet:
-    """A minimal hitting set of ``family`` within its own universe."""
-    return yao_row_wise(family, policy)[0]
-
-
 def ea_reduce(
     family: SetFamily, policy: SelectionPolicy, minimize: bool = True
 ) -> tuple[AttrSet, ReductTrace]:
@@ -247,7 +241,7 @@ def ea_reduce(
         a = _select(policy, first_member, list(current.members))
         containing = containing_sets(current, a)
         substitutes = substitute_sets(current, a)
-        inner = red_of_family(substitutes, policy)
+        inner = yao_row_wise(substitutes, policy)[0]
         result |= inner
         blocked = next((k for k in containing if not inner & k), None)
         if blocked is not None:

@@ -228,15 +228,6 @@ class AuditReport:
         return not self.disagreements()
 
 
-def _names(names: tuple[str, ...], attrs) -> str:
-    inner = ", ".join(names[i] for i in sorted(attrs))
-    return "{" + inner + "}"
-
-
-def _mask_attrs(mask: int, n: int) -> frozenset[int]:
-    return frozenset(i for i in range(n) if mask >> i & 1)
-
-
 class _Auditor:
     """Shared state for one audit run: masks, characters, oracle reducts."""
 
@@ -269,9 +260,11 @@ class _Auditor:
         return all(mask & m for m in members)
 
     def _set_str(self, mask_or_set) -> str:
+        """Names of an attribute set or bit mask, in attribute-index order."""
+        attrs = mask_or_set
         if isinstance(mask_or_set, int):
-            mask_or_set = _mask_attrs(mask_or_set, self.n)
-        return _names(self.names, mask_or_set)
+            attrs = [i for i in range(self.n) if mask_or_set >> i & 1]
+        return "{" + ", ".join(self.names[i] for i in sorted(attrs)) + "}"
 
     def record(
         self, claim: str, subject: str, lhs: bool, rhs: bool, detail: str | None
@@ -299,55 +292,50 @@ class _Auditor:
                 return c, missed
         return None
 
-    def substitute_transfer_claims(self) -> None:
-        """An attribute is unnecessary iff hitting its substitute sets always
-        carries over to hitting its containing sets (stated twice, once via
-        approximation inclusions and once via explicit intersections)."""
+    def substitute_claims(self) -> None:
+        """Two characters read off one transfer test per attribute.  An
+        attribute is unnecessary iff hitting its substitute sets always
+        carries over to hitting its containing sets; it is relatively
+        necessary iff it is no singleton member and some C hits all its
+        substitute sets while missing a containing set."""
         for a in range(self.n):
             violation = self._transfer_violation(self.e_masks[a], self.n_masks[a])
-            rhs = violation is None
-            lhs = self.characters.character(a) is Character.UNNECESSARY
+            name = self.names[a]
+            character = self.characters.character(a)
             if violation is not None:
                 c, missed = violation
-                detail = (
+                transfer_detail = (
                     f"C={self._set_str(c)} hits every substitute set of "
-                    f"{self.names[a]} but misses {self._set_str(missed)}"
+                    f"{name} but misses {self._set_str(missed)}"
                 )
-            else:
-                detail = (
-                    f"every C transfers, yet {self.names[a]} is "
-                    f"{self.characters.character(a).value}"
-                )
-            subject = f"a={self.names[a]}"
-            self.record("substitute_transfer", subject, lhs, rhs, detail)
-            self.record("substitute_transfer_expanded", subject, lhs, rhs, detail)
-
-    def blocked_substitute_claims(self) -> None:
-        """An attribute is relatively necessary iff it is no singleton member
-        and some C hits all its substitute sets while missing a containing
-        set (stated twice; the witness form names the blocked member)."""
-        for a in range(self.n):
-            violation = self._transfer_violation(self.e_masks[a], self.n_masks[a])
-            rhs = frozenset({a}) not in self.family and violation is not None
-            lhs = (
-                self.characters.character(a) is Character.RELATIVE_NECESSARY
-            )
-            if violation is not None:
-                c, missed = violation
-                detail = (
+                blocked_detail = (
                     f"C={self._set_str(c)} hits the substitute sets of "
-                    f"{self.names[a]} and misses {self._set_str(missed)}, "
-                    f"yet {self.names[a]} is "
-                    f"{self.characters.character(a).value}"
+                    f"{name} and misses {self._set_str(missed)}, "
+                    f"yet {name} is {character.value}"
                 )
             else:
-                detail = (
-                    f"no C separates the families of {self.names[a]}, yet it "
-                    f"is {self.characters.character(a).value}"
+                transfer_detail = (
+                    f"every C transfers, yet {name} is {character.value}"
                 )
-            subject = f"a={self.names[a]}"
-            self.record("blocked_substitute", subject, lhs, rhs, detail)
-            self.record("blocked_substitute_witness", subject, lhs, rhs, detail)
+                blocked_detail = (
+                    f"no C separates the families of {name}, yet it "
+                    f"is {character.value}"
+                )
+            subject = f"a={name}"
+            self.record(
+                "substitute_transfer",
+                subject,
+                character is Character.UNNECESSARY,
+                violation is None,
+                transfer_detail,
+            )
+            self.record(
+                "blocked_substitute",
+                subject,
+                character is Character.RELATIVE_NECESSARY,
+                frozenset({a}) not in self.family and violation is not None,
+                blocked_detail,
+            )
 
     def avoiding_escape_claims(self) -> None:
         """An attribute is relatively necessary iff it is no singleton member
@@ -572,8 +560,7 @@ def audit_theorems(system: InformationSystem, max_attrs: int = 10) -> AuditRepor
         )
     family = discernibility_matrix(system).family
     auditor = _Auditor(family, system.n_attributes, system.attributes)
-    auditor.substitute_transfer_claims()
-    auditor.blocked_substitute_claims()
+    auditor.substitute_claims()
     auditor.avoiding_escape_claims()
     auditor.minimal_escape_claims()
     auditor.coupled_claims()

@@ -15,9 +15,7 @@ from reducts.model import AttrSet, InformationSystem, is_consistent
 PROVEN_CLAIMS = frozenset(
     {
         "substitute_transfer",
-        "substitute_transfer_expanded",
         "blocked_substitute",
-        "blocked_substitute_witness",
         "minimal_escape",
         "finer_membership",
         "equal_neighborhoods",

@@ -1,0 +1,80 @@
+"""Pinned stdout of every subcommand, in both formats, on the worked inputs.
+
+The inputs live in ``tests/golden`` and the expected reports in
+``tests/golden/out``, one file per case, named after the command and the
+input.  Commands run from the input directory, so the ``input`` field of a
+JSON report is the bare file name.
+
+After an intended change to the output, rewrite the pinned files with
+``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from reducts.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_EVERY_INPUT = [
+    "classify",
+    "reduct",
+    "reduct --verbose",
+    "reduct --algo yao --verbose",
+    "all-reducts",
+    "covering",
+]
+
+# (input arguments, commands run on it)
+_RUNS = [
+    ("five_by_four.csv", ["matrix", *_EVERY_INPUT, "relations --excludes a1,a2->a3", "audit"]),
+    ("labelled.csv --id-col", ["matrix"]),
+    ("ladder.json", [*_EVERY_INPUT, "relations --excludes a2->a1"]),
+    ("walkthrough.json", [*_EVERY_INPUT, "relations", "reduct --no-minimize --verbose"]),
+]
+
+
+def _slug(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_")
+
+
+CASES = {
+    f"{_slug(command)}__{Path(source.split()[0]).stem}.{fmt}": [
+        *command.split(), *source.split(), "--format", fmt
+    ]
+    for source, commands in _RUNS
+    for command in commands
+    for fmt in ("text", "json")
+}
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_pinned_file(name):
+    expected = (GOLDEN / "out" / name).read_text(encoding="utf-8")
+    assert _stdout(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / "out" / name).write_text(_stdout(argv), encoding="utf-8")
+    print(f"wrote {len(CASES)} files to {GOLDEN / 'out'}")

@@ -26,12 +26,10 @@ class TestConstruction:
         assert triple_reduct.attributes == ("a1", "a2", "a3", "a4")
         assert triple_reduct.labels == ("1", "2", "3", "4", "5")
         assert triple_reduct.rows[2] == (1, 0, 1, 0)
-        assert triple_reduct.value(4, 0) == 2
 
     def test_attr_lookup(self, triple_reduct):
         assert triple_reduct.attr_index("a3") == 2
         assert triple_reduct.attr_subset(["a4", "a1"]) == frozenset({0, 3})
-        assert triple_reduct.attr_names({3, 0}) == ["a1", "a4"]
         with pytest.raises(InputError):
             triple_reduct.attr_index("nope")
 
@@ -63,12 +61,6 @@ class TestPartition:
             blocks({0, 1}, {1, 2})
         with pytest.raises(InputError):
             blocks({0}, set())
-
-    def test_block_of(self):
-        p = blocks({0, 1}, {2})
-        assert p.block_of(1) == frozenset({0, 1})
-        with pytest.raises(InputError):
-            p.block_of(9)
 
     def test_single_attribute_partitions(self, triple_reduct):
         expected = {

@@ -18,7 +18,6 @@ from reducts.reducers import (
     SelectionPolicy,
     all_reducts_bruteforce,
     ea_reduce,
-    red_of_family,
     verify_reduct,
     yao_row_wise,
 )
@@ -163,15 +162,15 @@ class TestRedOfFamily:
             frozenset({1, 2}),
         )
         for policy in POLICIES:
-            assert red_of_family(e, policy) == frozenset({1, 2})
+            assert yao_row_wise(e, policy)[0] == frozenset({1, 2})
 
     def test_triple_substitutes_of_a1(self, triple_family):
         e = substitute_sets(triple_family, 0)
-        assert red_of_family(e, SelectionPolicy.FIRST) == frozenset({1})
+        assert yao_row_wise(e, SelectionPolicy.FIRST)[0] == frozenset({1})
 
     def test_empty(self):
         for policy in POLICIES:
-            assert red_of_family(fam(), policy) == frozenset()
+            assert yao_row_wise(fam(), policy)[0] == frozenset()
 
 
 class TestEaReduce:

@@ -261,8 +261,7 @@ class TestAudit:
         # every family-level claim intact, coupling transfers included.
         family, names = family_from_names(ladder_family_rows)
         auditor = _Auditor(family, len(names), names)
-        auditor.substitute_transfer_claims()
-        auditor.blocked_substitute_claims()
+        auditor.substitute_claims()
         auditor.avoiding_escape_claims()
         auditor.minimal_escape_claims()
         auditor.coupled_claims()
