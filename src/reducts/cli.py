@@ -24,7 +24,7 @@ from .characters import classify_all
 from .covering import covering_from_family, minimal_description, neighborhood, singleton_equivalences
 from .discern import SetFamily, discernibility_matrix, family_from_names, containing_sets, reducts_by_expansion, substitute_sets
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .model import InformationSystem, load_table
+from .model import InformationSystem, load_table, set_names
 from .reducers import (
     ReductTrace,
     SelectionPolicy,
@@ -66,12 +66,22 @@ class RunConfig:
 
 @dataclass
 class _Loaded:
-    """Parsed input plus the name/index mappings every command needs."""
+    """Parsed input plus the name/index mappings every command needs.
+
+    A table's family is built on first use: the commands that compare the
+    object pairs themselves never read it, so they make the only pass.
+    """
 
     names: tuple[str, ...]
-    family: SetFamily
     system: InformationSystem | None = None
     labels: tuple[str, ...] = ()
+    _family: SetFamily | None = None
+
+    @property
+    def family(self) -> SetFamily:
+        if self._family is None:
+            self._family = discernibility_matrix(self.system).family
+        return self._family
 
     def index(self, name: str) -> int:
         try:
@@ -80,7 +90,7 @@ class _Loaded:
             raise InputError(f"unknown attribute {name!r}") from None
 
     def set_names(self, attrs) -> list[str]:
-        return sorted(self.names[a] for a in attrs)
+        return set_names(attrs, self.names)
 
     def family_names(self, fam) -> list[list[str]]:
         return [self.set_names(m) for m in fam]
@@ -93,17 +103,18 @@ class _Loaded:
 
 def _load(config: RunConfig) -> _Loaded:
     try:
-        with open(config.path, encoding="utf-8") as handle:
+        with open(config.path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as err:
         raise InputError(f"cannot read {config.path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{config.path}: not UTF-8 text") from None
     if config.kind == "table":
         try:
             system = load_table(text, id_col=config.id_col)
         except InputError as err:
             raise InputError(f"{config.path}: {err}") from None
-        family = discernibility_matrix(system).family
-        return _Loaded(system.attributes, family, system, system.labels)
+        return _Loaded(system.attributes, system, system.labels)
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as err:
@@ -118,7 +129,7 @@ def _load(config: RunConfig) -> _Loaded:
         family, names = family_from_names(rows)
     except InputError as err:
         raise InputError(f"{config.path}: {err}") from None
-    return _Loaded(names, family)
+    return _Loaded(names, _family=family)
 
 
 def _universe(loaded: _Loaded) -> frozenset[int]:

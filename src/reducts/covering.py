@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discern import SetFamily, absorb
+from .discern import SetFamily, absorb, containing_sets
 from .errors import InputError
 from .model import AttrSet
 
@@ -66,42 +66,25 @@ class SingletonChecks:
         )
 
 
-def covering_from_family(
-    family: SetFamily,
-    ground: AttrSet | None = None,
-    *,
-    pad_uncovered: bool = False,
-) -> CoveringSpace:
-    """Wrap a set family as a covering space.
-
-    Without an explicit ground the family covers its own universe.  A wider
-    ground is rejected unless ``pad_uncovered`` asks for singleton members
-    filling the gaps; padding changes what the operators say about the
-    padded elements, so it never happens silently.
-    """
-    if ground is None:
-        ground = family.universe()
-    if pad_uncovered:
-        missing = sorted(ground - family.universe())
-        family = SetFamily(family.members + tuple(frozenset({x}) for x in missing))
-    return CoveringSpace(frozenset(ground), family)
+def covering_from_family(family: SetFamily) -> CoveringSpace:
+    """Wrap a set family as a covering space of its own universe."""
+    return CoveringSpace(family.universe(), family)
 
 
-def _containing(space: CoveringSpace, x: int) -> list[AttrSet]:
+def _containing(space: CoveringSpace, x: int) -> SetFamily:
     if x not in space.ground:
         raise InputError(f"element {x} is outside the ground set")
-    return [k for k in space.cover if x in k]
+    return containing_sets(space.cover, x)
 
 
 def minimal_description(space: CoveringSpace, x: int) -> SetFamily:
     """The inclusion-minimal cover members containing ``x``, in cover order."""
-    return absorb(SetFamily(tuple(_containing(space, x)))).minimal
+    return absorb(_containing(space, x)).minimal
 
 
 def neighborhood(space: CoveringSpace, x: int) -> AttrSet:
     """Intersection of every cover member containing ``x``."""
-    containing = _containing(space, x)
-    return frozenset.intersection(*containing)
+    return frozenset.intersection(*_containing(space, x))
 
 
 def cov_lower(space: CoveringSpace, x: AttrSet) -> AttrSet:

@@ -1,6 +1,6 @@
 """Discernibility matrices and ordered families of attribute sets.
 
-``discernibility_matrix`` records, for every pair of objects, which
+``discernibility_matrix`` finds, for every pair of objects, which
 attributes tell them apart.  The deduplicated non-empty entries form a
 ``SetFamily``; hitting sets of that family are exactly the consistent
 attribute sets, and its minimal hitting sets are the reducts.  The family
@@ -100,49 +100,36 @@ class Absorption:
 
 @dataclass(frozen=True, eq=False)
 class DiscernibilityMatrix:
-    """Symmetric matrix of attribute sets separating each object pair."""
+    """A table and the family of attribute sets separating its object pairs."""
 
-    attributes: tuple[str, ...]
-    labels: tuple[str, ...]
-    cells: tuple[tuple[AttrSet, ...], ...]
+    system: InformationSystem
     family: SetFamily
 
-    @property
-    def n_objects(self) -> int:
-        return len(self.labels)
-
-    def entry(self, i: int, j: int) -> AttrSet:
-        return self.cells[i][j]
-
     def pairs(self) -> Iterator[tuple[int, int, AttrSet]]:
-        """Upper-triangle entries in row-major order, empty cells included."""
-        for i in range(len(self.labels)):
-            for j in range(i + 1, len(self.labels)):
-                yield i, j, self.cells[i][j]
+        """Upper-triangle entries in row-major order, empty ones included.
+
+        Each entry is compared afresh on every call; nothing per pair is stored.
+        """
+        return _compare_pairs(self.system)
+
+
+def _compare_pairs(system: InformationSystem) -> Iterator[tuple[int, int, AttrSet]]:
+    rows = system.rows
+    attrs = range(system.n_attributes)
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            other = rows[j]
+            yield i, j, frozenset(a for a in attrs if row[a] != other[a])
 
 
 def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
-    """Compute all pairwise discerning attribute sets and their family.
+    """Compare every object pair once and collect the discerning sets.
 
-    The family collects non-empty entries in row-major pair order,
-    first occurrence only.
+    The family holds the non-empty entries in row-major pair order, first
+    occurrence only.
     """
-    n = system.n_objects
-    attrs = range(system.n_attributes)
-    cells = [[frozenset()] * n for _ in range(n)]
-    ordered: list[AttrSet] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = frozenset(a for a in attrs if system.rows[i][a] != system.rows[j][a])
-            cells[i][j] = cells[j][i] = d
-            if d:
-                ordered.append(d)
-    return DiscernibilityMatrix(
-        attributes=system.attributes,
-        labels=system.labels,
-        cells=tuple(tuple(row) for row in cells),
-        family=SetFamily(tuple(ordered)),
-    )
+    distinct = dict.fromkeys(d for _, _, d in _compare_pairs(system) if d)
+    return DiscernibilityMatrix(system, SetFamily(tuple(distinct)))
 
 
 def containing_sets(family: SetFamily, a: int) -> SetFamily:
@@ -160,29 +147,34 @@ def substitute_sets(family: SetFamily, a: int) -> SetFamily:
     return SetFamily(tuple(m for m in family if a not in m and m <= pool))
 
 
+def _minimal(sets: Iterable[AttrSet]) -> list[AttrSet]:
+    """Inclusion-minimal sets among distinct ``sets``, smallest first.
+
+    A set is kept when no kept set lies strictly inside it; anything that
+    could lie inside it is smaller, so it has been seen already.
+    """
+    kept: list[AttrSet] = []
+    for s in sorted(sets, key=len):
+        if not any(k < s for k in kept):
+            kept.append(s)
+    return kept
+
+
 def absorb(family: SetFamily) -> Absorption:
-    """Partition members into inclusion-minimal ones and absorbed supersets."""
-    minimal: list[AttrSet] = []
-    absorbed: list[AttrSet] = []
-    for m in family:
-        if any(other < m for other in family if other is not m):
-            absorbed.append(m)
-        else:
-            minimal.append(m)
-    return Absorption(SetFamily(tuple(minimal)), tuple(absorbed))
+    """Partition members into inclusion-minimal ones and absorbed supersets.
+
+    Both parts keep the family's member order.
+    """
+    keep = set(_minimal(family))
+    return Absorption(
+        SetFamily(tuple(m for m in family if m in keep)),
+        tuple(m for m in family if m not in keep),
+    )
 
 
 def hits_all(attrs: AttrSet, family: SetFamily) -> bool:
     """True when ``attrs`` intersects every member; vacuously true if empty."""
     return all(attrs & m for m in family)
-
-
-def _prune_to_minimal(candidates: Iterable[AttrSet]) -> list[AttrSet]:
-    kept: list[AttrSet] = []
-    for c in sorted(set(candidates), key=canonical_key):
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return kept
 
 
 def reducts_by_expansion(family: SetFamily, cap: int = 20) -> list[AttrSet]:
@@ -200,7 +192,7 @@ def reducts_by_expansion(family: SetFamily, cap: int = 20) -> list[AttrSet]:
         )
     terms: list[AttrSet] = [frozenset()]
     for clause in absorb(family).minimal:
-        terms = _prune_to_minimal(t | {a} for t in terms for a in clause)
+        terms = _minimal({t | {a} for t in terms for a in clause})
     return sorted(terms, key=canonical_key)
 
 
@@ -215,12 +207,12 @@ def family_from_names(
     """
     as_sets: list[frozenset[str]] = []
     for row in rows:
-        names = frozenset(row)
-        if not names:
-            raise InputError("empty member in family input")
-        if not all(isinstance(n, str) and n for n in names):
+        row = tuple(row)
+        if not all(isinstance(n, str) and n for n in row):
             raise InputError("family members must be non-empty strings")
-        as_sets.append(names)
+        if not row:
+            raise InputError("empty member in family input")
+        as_sets.append(frozenset(row))
     ordered_names = tuple(sorted(frozenset().union(*as_sets))) if as_sets else ()
     index = {name: i for i, name in enumerate(ordered_names)}
     members = tuple(frozenset(index[n] for n in s) for s in as_sets)

@@ -29,6 +29,7 @@ __all__ = [
     "approximations",
     "is_precise",
     "load_table",
+    "set_names",
 ]
 
 Value: TypeAlias = Hashable
@@ -196,6 +197,11 @@ def is_precise(partition: Partition, target: ObjSet) -> bool:
     """True when ``target`` is a union of blocks (its approximations agree)."""
     lower, upper = approximations(partition, target)
     return lower == upper
+
+
+def set_names(attrs: Iterable[int], names: Sequence[str]) -> list[str]:
+    """Names of an attribute set in the order every report prints them."""
+    return sorted(names[a] for a in attrs)
 
 
 def load_table(text: str, *, id_col: bool = False) -> InformationSystem:

@@ -24,7 +24,7 @@ from .discern import (
     substitute_sets,
 )
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .model import AttrSet, InformationSystem, indiscernibility_partition, refines
+from .model import AttrSet, InformationSystem, indiscernibility_partition, refines, set_names
 from .reducers import all_reducts_bruteforce
 
 __all__ = [
@@ -260,11 +260,11 @@ class _Auditor:
         return all(mask & m for m in members)
 
     def _set_str(self, mask_or_set) -> str:
-        """Names of an attribute set or bit mask, in attribute-index order."""
+        """Names of an attribute set or bit mask, braced."""
         attrs = mask_or_set
         if isinstance(mask_or_set, int):
             attrs = [i for i in range(self.n) if mask_or_set >> i & 1]
-        return "{" + ", ".join(self.names[i] for i in sorted(attrs)) + "}"
+        return "{" + ", ".join(set_names(attrs, self.names)) + "}"
 
     def record(
         self, claim: str, subject: str, lhs: bool, rhs: bool, detail: str | None
@@ -504,10 +504,10 @@ def _partition_claims(
             if a == b:
                 continue
             lhs = refines(parts[a], parts[b])
-            rhs = all(a in k for k in containing_sets(auditor.family, b))
             witness = next(
                 (k for k in containing_sets(auditor.family, b) if a not in k), None
             )
+            rhs = witness is None
             detail = (
                 f"member {auditor._set_str(witness)} holds {names[b]} without "
                 f"{names[a]}"
@@ -531,9 +531,7 @@ def _partition_claims(
                 )
     for a, b in combinations(range(n), 2):
         lhs = parts[a] == parts[b]
-        rhs = containing_sets(auditor.family, a) == containing_sets(
-            auditor.family, b
-        )
+        rhs = equivalent_by_membership(auditor.family, a, b)
         subject = f"a={names[a]}, b={names[b]}"
         auditor.record(
             "equal_neighborhoods",

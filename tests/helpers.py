@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import reducts
 from reducts.discern import SetFamily
 from reducts.model import AttrSet, InformationSystem, is_consistent
 
@@ -63,6 +67,20 @@ def families(draw, max_attrs: int = 5, max_members: int = 8):
         )
     )
     return SetFamily(tuple(members))
+
+
+# The directory that holds the imported package, so a child process runs the
+# same code as the tests.
+PACKAGE_ROOT = Path(reducts.__file__).resolve().parents[1]
+
+
+def run_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``argv`` with the imported package first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
 
 
 def fam(*sets) -> SetFamily:

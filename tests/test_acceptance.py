@@ -325,7 +325,7 @@ def test_criterion_8_degenerate_inputs(triple_reduct, tmp_path, capsys):
     # Indistinguishable objects are data, not an error.
     assert triple_reduct.rows[0] == triple_reduct.rows[1]
     assert triple_reduct.n_objects == 5
-    assert discernibility_matrix(triple_reduct).entry(0, 1) == frozenset()
+    assert next(discernibility_matrix(triple_reduct).pairs()) == (0, 1, frozenset())
 
     lonely = InformationSystem.from_columns(["a1", "a2"], [[0], [1]])
     matrix = discernibility_matrix(lonely)

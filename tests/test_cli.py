@@ -1,22 +1,18 @@
 import importlib
 import io
 import json
-import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import reducts
+from helpers import run_child
+from reducts import discern
 from reducts.cli import RunConfig, main, run
 from reducts.errors import InputError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# The directory that holds the imported package, so a child process runs the
-# same code as this one.
-PACKAGE_ROOT = Path(reducts.__file__).resolve().parents[1]
 
 TRIPLE_CSV = "a1,a2,a3,a4\n0,0,0,0\n0,0,0,0\n1,0,1,0\n1,1,0,0\n2,1,1,1\n"
 
@@ -352,10 +348,60 @@ class TestInputHandling:
                 code, _, _ = run_cli(capsys, [command, str(path)])
                 assert code == 1, (name, command)
 
+    def test_non_string_family_member(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text('[["a", ["b"]]]')
+        done = run_child([sys.executable, "-m", "reducts", "classify", str(path)])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "nested.json" in done.stderr
+
+    def test_undecodable_csv(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n\xff,1\n0,1\n")
+        done = run_child([sys.executable, "-m", "reducts", "classify", str(path)])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "latin1.csv" in done.stderr
+
+    def test_byte_order_mark_is_not_a_name(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a1,a2\n0,1\n1,1\n".encode("utf-8-sig"))
+        report = run_json(capsys, ["classify", "--format", "json", str(path)])
+        assert report["attributes"] == ["a1", "a2"]
+
     def test_usage_errors_exit_one(self, capsys, triple_csv):
         assert main([]) == 1
         assert main(["reduct", "--algo", "nope", triple_csv]) == 1
         assert main(["nonsense", triple_csv]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, passes",
+    [
+        ("classify", 1),
+        ("reduct", 1),
+        ("all-reducts", 1),
+        ("covering", 1),
+        ("relations", 1),
+        ("audit", 1),
+        ("matrix", 2),
+    ],
+)
+def test_object_pairs_compared_once_per_pass(
+    capsys, monkeypatch, triple_csv, command, passes
+):
+    """A table command walks the object pairs once; ``matrix`` at most twice."""
+    started = []
+    compare = discern._compare_pairs
+
+    def counted(system):
+        started.append(system)
+        yield from compare(system)
+
+    monkeypatch.setattr(discern, "_compare_pairs", counted)
+    run_json(capsys, [command, "--format", "json", triple_csv])
+    assert 1 <= len(started) <= passes
 
 
 class TestRunApi:
@@ -375,17 +421,7 @@ class TestRunApi:
 
 
 def _run_in_child(argv, triple_csv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [*argv, "classify", "--format", "json", triple_csv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    return run_child([*argv, "classify", "--format", "json", triple_csv])
 
 
 def _assert_classifies_triple(done):

@@ -32,17 +32,6 @@ class TestConstruction:
         space = covering_from_family(fam({0, 1}, {2}))
         assert space.ground == frozenset({0, 1, 2})
 
-    def test_wider_ground_rejected_by_default(self):
-        with pytest.raises(InputError):
-            covering_from_family(fam({0, 1}), ground=frozenset({0, 1, 2}))
-
-    def test_padding_on_request(self):
-        space = covering_from_family(
-            fam({0, 1}), ground=frozenset({0, 1, 2}), pad_uncovered=True
-        )
-        assert frozenset({2}) in space.cover
-        assert space.ground == frozenset({0, 1, 2})
-
     def test_members_outside_ground_rejected(self):
         with pytest.raises(InputError):
             CoveringSpace(frozenset({0}), fam({0, 1}))

@@ -70,10 +70,9 @@ class TestMatrix:
             (2, 4): {0, 1, 3},
             (3, 4): {0, 2, 3},
         }
+        entries = {(i, j): entry for i, j, entry in m.pairs()}
         for (i, j), entry in want.items():
-            assert m.entry(i, j) == frozenset(entry), (i, j)
-            assert m.entry(j, i) == m.entry(i, j)
-        assert m.entry(2, 2) == frozenset()
+            assert entries[i, j] == frozenset(entry), (i, j)
         assert list(m.pairs())[0] == (0, 1, frozenset())
 
     def test_triple_family_order(self, triple_reduct):
@@ -89,10 +88,11 @@ class TestMatrix:
 
     def test_ladder_system_matrix(self, ladder_system):
         m = discernibility_matrix(ladder_system)
-        assert m.entry(0, 1) == frozenset({2})
-        assert m.entry(0, 2) == frozenset({1})
-        assert m.entry(0, 4) == frozenset({0, 1, 2})
-        assert m.entry(3, 4) == frozenset()
+        entries = {(i, j): entry for i, j, entry in m.pairs()}
+        assert entries[0, 1] == frozenset({2})
+        assert entries[0, 2] == frozenset({1})
+        assert entries[0, 4] == frozenset({0, 1, 2})
+        assert entries[3, 4] == frozenset()
         assert m.family.members == (
             frozenset({2}),
             frozenset({1}),
@@ -107,6 +107,22 @@ class TestMatrix:
         m = discernibility_matrix(s)
         assert len(m.family) == 0
         assert list(m.pairs()) == []
+
+    @given(systems())
+    def test_pairs_and_family_match_the_definition(self, s):
+        m = discernibility_matrix(s)
+        n, attrs = s.n_objects, range(s.n_attributes)
+        want = [
+            (i, j, frozenset(a for a in attrs if s.rows[i][a] != s.rows[j][a]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        assert list(m.pairs()) == want
+        first_seen = []
+        for _, _, entry in want:
+            if entry and entry not in first_seen:
+                first_seen.append(entry)
+        assert m.family.members == tuple(first_seen)
 
     def test_constant_attribute_never_appears(self):
         s = InformationSystem.from_columns(["a", "b"], [[0, 0, 0], [0, 1, 2]])
@@ -196,6 +212,21 @@ class TestAbsorb:
             assert not any(other < m for other in kept if other != m)
         assert set(kept.members) | set(result.absorbed) == set(f.members)
         assert reducts_by_expansion(f) == reducts_by_expansion(kept)
+
+
+    @given(families(max_attrs=6, max_members=12))
+    def test_matches_the_pairwise_definition(self, f):
+        # The definition: a member is absorbed when another member lies
+        # strictly inside it.  Both parts keep the family's order.
+        minimal, absorbed = [], []
+        for m in f:
+            if any(other < m for other in f if other is not m):
+                absorbed.append(m)
+            else:
+                minimal.append(m)
+        result = absorb(f)
+        assert result.minimal.members == tuple(minimal)
+        assert result.absorbed == tuple(absorbed)
 
 
 class TestReductsByExpansion:

@@ -1,0 +1,21 @@
+"""The scripts under ``scripts/`` run cleanly against the package under test."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import run_child
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce_worked_examples.py"], ["measure_claims.py", "--systems", "20"]],
+)
+def test_script_runs(argv):
+    done = run_child([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout
