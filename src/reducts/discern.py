@@ -6,15 +6,22 @@ attributes tell them apart.  The deduplicated non-empty entries form a
 attribute sets, and its minimal hitting sets are the reducts.  The family
 keeps first-seen member order because the reduction algorithms walk it in
 that order, while equality and hashing ignore order entirely.
+
+Identical rows give identical entries, so the family is built by
+comparing each pair of distinct rows once.  Those rows are taken in
+first-seen order, so the members come out in the order a walk over every
+object pair finds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress
+from operator import ne
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .model import AttrSet, InformationSystem
+from .model import AttrSet, InformationSystem, Value
 
 __all__ = [
     "canonical_key",
@@ -110,26 +117,33 @@ class DiscernibilityMatrix:
 
         Each entry is compared afresh on every call; nothing per pair is stored.
         """
-        return _compare_pairs(self.system)
+        return _compare_pairs(self.system.rows, range(self.system.n_attributes))
 
 
-def _compare_pairs(system: InformationSystem) -> Iterator[tuple[int, int, AttrSet]]:
-    rows = system.rows
-    attrs = range(system.n_attributes)
+def _compare_pairs(
+    rows: Sequence[Sequence[Value]], attrs: range
+) -> Iterator[tuple[int, int, AttrSet]]:
+    """Each pair ``i < j`` of ``rows`` in row-major order, with the
+    attributes whose values differ between the two rows."""
     for i, row in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            other = rows[j]
-            yield i, j, frozenset(a for a in attrs if row[a] != other[a])
+            yield i, j, frozenset(compress(attrs, map(ne, row, rows[j])))
 
 
 def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
-    """Compare every object pair once and collect the discerning sets.
+    """Compare each pair of distinct rows once and collect the discerning sets.
 
     The family holds the non-empty entries in row-major pair order, first
-    occurrence only.
+    occurrence only.  A pair involving a repeated row repeats the entry of
+    an earlier pair of first occurrences, so the distinct rows, taken in
+    first-seen order, give the same members in the same order.  Rows are
+    merged by equality, so a cell value must equal itself (a float NaN
+    does not).
     """
-    distinct = dict.fromkeys(d for _, _, d in _compare_pairs(system) if d)
-    return DiscernibilityMatrix(system, SetFamily(tuple(distinct)))
+    rows = tuple(dict.fromkeys(system.rows))
+    attrs = range(system.n_attributes)
+    entries = dict.fromkeys(d for _, _, d in _compare_pairs(rows, attrs) if d)
+    return DiscernibilityMatrix(system, SetFamily(tuple(entries)))
 
 
 def containing_sets(family: SetFamily, a: int) -> SetFamily:

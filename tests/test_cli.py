@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import run_child
-from reducts import discern
+from reducts import cli, discern
 from reducts.cli import RunConfig, main, run
 from reducts.errors import InputError
 
@@ -158,6 +158,47 @@ class TestReduct:
         )
         assert report["result"]["valid"] is True
         assert "raw" not in report["result"]
+
+    def test_no_minimize_may_keep_a_removable_attribute(self, capsys, tmp_path):
+        rows = [
+            ["a1", "a2", "a4"],
+            ["a2", "a3", "a5"],
+            ["a3", "a4", "a5", "a7"],
+            ["a1", "a2", "a3"],
+            ["a2", "a3", "a4", "a6"],
+            ["a1", "a2", "a3", "a4", "a5"],
+        ]
+        path = tmp_path / "redundant.json"
+        path.write_text(json.dumps(rows))
+        report = run_json(
+            capsys, ["reduct", "--no-minimize", "--format", "json", str(path)]
+        )
+        reduct = set(report["result"]["reduct"])
+        assert report["result"]["valid"] is False
+        assert all(reduct & set(member) for member in rows)
+
+    @pytest.mark.parametrize(
+        "flags, candidate",
+        [
+            ([], lambda family: family.universe()),
+            ([], lambda family: frozenset()),
+            (["--no-minimize"], lambda family: frozenset()),
+        ],
+        ids=["not-minimal", "not-hitting", "not-hitting-untrimmed"],
+    )
+    def test_failed_verification_exits_2(
+        self, capsys, monkeypatch, walkthrough_json, flags, candidate
+    ):
+        real = cli.ea_reduce
+
+        def broken(family, policy, minimize=True):
+            return candidate(family), real(family, policy, minimize=minimize)[1]
+
+        monkeypatch.setattr(cli, "ea_reduce", broken)
+        code, out, err = run_cli(capsys, ["reduct", *flags, walkthrough_json])
+        assert code == 2
+        assert out == ""
+        assert "fails verification" in err
 
     def test_outputs_belong_to_the_oracle(self, capsys, triple_csv):
         oracle = run_json(capsys, ["all-reducts", "--format", "json", triple_csv])
@@ -395,9 +436,9 @@ def test_object_pairs_compared_once_per_pass(
     started = []
     compare = discern._compare_pairs
 
-    def counted(system):
-        started.append(system)
-        yield from compare(system)
+    def counted(rows, attrs):
+        started.append(rows)
+        yield from compare(rows, attrs)
 
     monkeypatch.setattr(discern, "_compare_pairs", counted)
     run_json(capsys, [command, "--format", "json", triple_csv])

@@ -55,6 +55,24 @@ class TestSetFamily:
         ) == [frozenset({0}), frozenset({1}), frozenset({0, 1})]
 
 
+def _all_pairs(s):
+    """Every object pair in row-major order with its discerning attributes."""
+    n, attrs = s.n_objects, range(s.n_attributes)
+    return [
+        (i, j, frozenset(a for a in attrs if s.rows[i][a] != s.rows[j][a]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+
+
+def _first_seen_entries(pairs):
+    first_seen = []
+    for _, _, entry in pairs:
+        if entry and entry not in first_seen:
+            first_seen.append(entry)
+    return tuple(first_seen)
+
+
 class TestMatrix:
     def test_triple_entries(self, triple_reduct):
         m = discernibility_matrix(triple_reduct)
@@ -111,18 +129,35 @@ class TestMatrix:
     @given(systems())
     def test_pairs_and_family_match_the_definition(self, s):
         m = discernibility_matrix(s)
-        n, attrs = s.n_objects, range(s.n_attributes)
-        want = [
-            (i, j, frozenset(a for a in attrs if s.rows[i][a] != s.rows[j][a]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
+        want = _all_pairs(s)
         assert list(m.pairs()) == want
-        first_seen = []
-        for _, _, entry in want:
-            if entry and entry not in first_seen:
-                first_seen.append(entry)
-        assert m.family.members == tuple(first_seen)
+        assert m.family.members == _first_seen_entries(want)
+
+    @given(systems(max_objects=24, max_attrs=3, max_symbols=2))
+    def test_repeated_rows_keep_the_all_pairs_order(self, s):
+        want = _first_seen_entries(_all_pairs(s))
+        assert discernibility_matrix(s).family.members == want
+
+    def test_identical_rows_have_empty_family(self):
+        s = InformationSystem(("a", "b"), (("x", "y"),) * 5, tuple("12345"))
+        m = discernibility_matrix(s)
+        assert len(m.family) == 0
+        assert list(m.pairs()) == [(i, j, frozenset()) for i, j, _ in _all_pairs(s)]
+
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 0, 0, 1, 2, 3), (0, 1, 0, 2, 1, 3, 2, 0), (3, 3, 1, 3, 0, 2, 1)],
+        ids=["duplicates-first", "interleaved", "unsorted-first-seen"],
+    )
+    def test_repeated_rows_keep_member_order(self, order):
+        base = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 1))
+        s = InformationSystem(
+            ("a1", "a2", "a3", "a4"),
+            tuple(base[k] for k in order),
+            tuple(str(i) for i in range(len(order))),
+        )
+        want = _first_seen_entries(_all_pairs(s))
+        assert discernibility_matrix(s).family.members == want
 
     def test_constant_attribute_never_appears(self):
         s = InformationSystem.from_columns(["a", "b"], [[0, 0, 0], [0, 1, 2]])
