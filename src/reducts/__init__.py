@@ -17,14 +17,11 @@ from .characters import (
     classify_all,
     classify_by_refinement,
     is_refinement,
-    precise_refinement_witness,
-    precise_refines,
 )
 from .covering import (
     CoveringSpace,
     SingletonChecks,
     cov_lower,
-    cov_upper,
     covering_from_family,
     minimal_description,
     neighborhood,
@@ -47,11 +44,8 @@ from .errors import InputError, InvariantViolation, ResourceLimitError
 from .model import (
     InformationSystem,
     Partition,
-    approximations,
     indiscernibility_partition,
     is_consistent,
-    is_precise,
-    is_reduct,
     load_table,
     refines,
     set_names,
@@ -91,12 +85,9 @@ __all__ = [
     "classify_all",
     "classify_by_refinement",
     "is_refinement",
-    "precise_refinement_witness",
-    "precise_refines",
     "CoveringSpace",
     "SingletonChecks",
     "cov_lower",
-    "cov_upper",
     "covering_from_family",
     "minimal_description",
     "neighborhood",
@@ -117,11 +108,8 @@ __all__ = [
     "ResourceLimitError",
     "InformationSystem",
     "Partition",
-    "approximations",
     "indiscernibility_partition",
     "is_consistent",
-    "is_precise",
-    "is_reduct",
     "load_table",
     "refines",
     "set_names",

@@ -22,8 +22,6 @@ __all__ = [
     "AttributeEvidence",
     "CharacterReport",
     "is_refinement",
-    "precise_refines",
-    "precise_refinement_witness",
     "classify",
     "classify_by_refinement",
     "classify_all",
@@ -41,8 +39,11 @@ class AttributeEvidence:
     """Why one attribute got its character.
 
     Core carries its singleton family member.  Unnecessary carries one
-    substitute member inside each containing member.  Relatively necessary
-    carries the first containing member no substitute fits into.
+    substitute member inside each containing member, as (container,
+    substitute) pairs; those substitutes precisely refine the containing
+    members, each lying inside one and each container holding one.
+    Relatively necessary carries the first containing member no substitute
+    fits into.
     """
 
     character: Character
@@ -81,16 +82,6 @@ def is_refinement(finer: SetFamily, coarser: SetFamily) -> bool:
     return all(any(m <= k for m in finer) for k in coarser)
 
 
-def precise_refines(finer: SetFamily, coarser: SetFamily) -> bool:
-    """Refinement in both directions: members fit inside and are reached.
-
-    Every member of ``finer`` must sit inside some member of ``coarser``,
-    and every member of ``coarser`` must contain some member of ``finer``.
-    """
-    fits = all(any(m <= k for k in coarser) for m in finer)
-    return fits and is_refinement(finer, coarser)
-
-
 def _witness_pairs(
     family: SetFamily, a: int
 ) -> tuple[tuple[tuple[AttrSet, AttrSet], ...], AttrSet | None]:
@@ -107,20 +98,6 @@ def _witness_pairs(
             return tuple(pairs), k
         pairs.append((k, m))
     return tuple(pairs), None
-
-
-def precise_refinement_witness(family: SetFamily, a: int) -> SetFamily | None:
-    """A substitute subfamily that precise-refines the containing sets.
-
-    Picks, for each member containing ``a``, the first substitute member
-    inside it.  Returns nothing when some containing member admits no
-    substitute; with no containing members at all the empty family
-    trivially works.
-    """
-    pairs, blocked = _witness_pairs(family, a)
-    if blocked is not None:
-        return None
-    return SetFamily(tuple(m for _, m in pairs))
 
 
 def classify(family: SetFamily, a: int) -> Character:

@@ -9,6 +9,13 @@ json prints it as a canonical JSON document that re-serializes
 byte-identically, and the plain-text report is rendered from that same
 object, so the two formats cannot disagree.
 
+The JSON document is written by this module's own writer, ``_dumps``,
+whose output is byte for byte that of ``json.dumps(report, indent=2,
+sort_keys=True)``.  The stdlib drops to a pure-Python encoder whenever
+``indent`` is set; the writer instead encodes every string, and joins
+every list of strings, in C, which matters for ``matrix`` and its n^2
+object pairs.
+
 Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
 violation, 3 resource cap exceeded.
 """
@@ -157,13 +164,14 @@ def _listing(names: list[str]) -> str:
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
     system = loaded.require_system("matrix")
     dm = discernibility_matrix(system)
-    pairs = [
-        {
-            "objects": [loaded.labels[i], loaded.labels[j]],
-            "attributes": loaded.set_names(entry),
-        }
-        for i, j, entry in dm.pairs()
-    ]
+    # n^2 pairs share few distinct entries: name each entry once.
+    entry_names: dict[frozenset[int], list[str]] = {}
+    pairs = []
+    for i, j, entry in dm.pairs():
+        names = entry_names.get(entry)
+        if names is None:
+            names = entry_names[entry] = loaded.set_names(entry)
+        pairs.append({"objects": [loaded.labels[i], loaded.labels[j]], "attributes": names})
     result = {
         "pairs": pairs,
         "family": loaded.family_names(dm.family),
@@ -481,6 +489,48 @@ def _text_covering(loaded: _Loaded, result: dict) -> list[str]:
     return _pad(grid) if len(grid) > 1 else ["(empty covering space)"]
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` prints it.
+
+    ``nl`` is a newline followed by the indentation of ``obj``'s own line.
+    Only the shapes the builders emit are known: dicts with str keys,
+    lists and tuples, str, int, bool and None, each of exactly that type.
+    Anything else raises TypeError, except that a str subclass inside a
+    list or as a key passes the C encoder and comes out as the stdlib
+    writes it.  A list of strings is written with one C-level join.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        try:
+            body = ("," + inner).join(map(_encode_str, obj))
+        except TypeError:  # not all strings
+            body = ("," + inner).join([_dumps(item, inner) for item in obj])
+        return "[" + inner + body + nl + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        body = ("," + inner).join(
+            [_encode_str(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)]
+        )
+        return "{" + inner + body + nl + "}"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 # Each subcommand: a builder returning (result, warnings) and a renderer
 # that reads only that result (plus input labels) for the text report.
 _COMMANDS = {
@@ -508,7 +558,8 @@ def run(config: RunConfig, out=None) -> int:
             "result": result,
             "warnings": warnings,
         }
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out.write(_dumps(report, "\n"))
+        out.write("\n")
     else:
         for line in render(loaded, result):
             out.write(line + "\n")

@@ -22,7 +22,6 @@ __all__ = [
     "minimal_description",
     "neighborhood",
     "cov_lower",
-    "cov_upper",
     "singleton_equivalences",
 ]
 
@@ -90,11 +89,6 @@ def neighborhood(space: CoveringSpace, x: int) -> AttrSet:
 def cov_lower(space: CoveringSpace, x: AttrSet) -> AttrSet:
     """Union of the cover members lying inside ``x``."""
     return frozenset().union(*(k for k in space.cover if k <= x))
-
-
-def cov_upper(space: CoveringSpace, x: AttrSet) -> AttrSet:
-    """Union of the cover members meeting ``x``."""
-    return frozenset().union(*(k for k in space.cover if k & x))
 
 
 def singleton_equivalences(space: CoveringSpace, x: int) -> SingletonChecks:

@@ -25,9 +25,6 @@ __all__ = [
     "indiscernibility_partition",
     "refines",
     "is_consistent",
-    "is_reduct",
-    "approximations",
-    "is_precise",
     "load_table",
     "set_names",
 ]
@@ -168,35 +165,6 @@ def is_consistent(system: InformationSystem, attrs: AttrSet) -> bool:
     return indiscernibility_partition(system, attrs) == indiscernibility_partition(
         system, system.all_attrs()
     )
-
-
-def is_reduct(system: InformationSystem, attrs: AttrSet) -> bool:
-    """A consistent attribute set no single removal leaves consistent.
-
-    Consistency is monotone under adding attributes, so checking one-step
-    removals settles minimality over all proper subsets.
-    """
-    if not is_consistent(system, attrs):
-        return False
-    return all(not is_consistent(system, attrs - {a}) for a in attrs)
-
-
-def approximations(partition: Partition, target: ObjSet) -> tuple[ObjSet, ObjSet]:
-    """Lower and upper approximations of ``target`` by the partition blocks."""
-    lower: set[int] = set()
-    upper: set[int] = set()
-    for block in partition.blocks:
-        if block <= target:
-            lower |= block
-        if block & target:
-            upper |= block
-    return frozenset(lower), frozenset(upper)
-
-
-def is_precise(partition: Partition, target: ObjSet) -> bool:
-    """True when ``target`` is a union of blocks (its approximations agree)."""
-    lower, upper = approximations(partition, target)
-    return lower == upper
 
 
 def set_names(attrs: Iterable[int], names: Sequence[str]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Test-only generators and an independent partition-based reduct oracle."""
+"""Test-only generators and independent partition-based reduct oracles."""
 
 from __future__ import annotations
 
@@ -104,6 +104,17 @@ def make_random_system(
         rows,
         tuple(str(i + 1) for i in range(n_objects)),
     )
+
+
+def is_reduct(system: InformationSystem, attrs: AttrSet) -> bool:
+    """A consistent attribute set no single removal leaves consistent.
+
+    Consistency is monotone under adding attributes, so checking one-step
+    removals settles minimality over all proper subsets.
+    """
+    if not is_consistent(system, attrs):
+        return False
+    return all(not is_consistent(system, attrs - {a}) for a in attrs)
 
 
 def reducts_by_partitions(system: InformationSystem) -> set[AttrSet]:

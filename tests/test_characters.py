@@ -9,8 +9,6 @@ from reducts.characters import (
     classify_all,
     classify_by_refinement,
     is_refinement,
-    precise_refinement_witness,
-    precise_refines,
 )
 from reducts.discern import (
     absorb,
@@ -40,7 +38,6 @@ class TestRefinementPredicates:
     def test_substitutes_refine_containers_for_a4(self, triple_family):
         e, n = substitute_sets(triple_family, 3), containing_sets(triple_family, 3)
         assert is_refinement(e, n)
-        assert precise_refines(e, n)
 
     def test_substitutes_do_not_refine_containers_for_a1(self, triple_family):
         e, n = substitute_sets(triple_family, 0), containing_sets(triple_family, 0)
@@ -48,44 +45,45 @@ class TestRefinementPredicates:
 
     def test_vacuous_and_identity(self):
         assert is_refinement(fam(), fam())
-        assert precise_refines(fam(), fam())
         f = fam({0, 1}, {2})
         assert is_refinement(f, f)
-        assert precise_refines(f, f)
 
     def test_one_sided_refinement(self):
         assert not is_refinement(fam({1, 2}), fam({0, 1}))
-        assert not precise_refines(fam({1, 2}), fam({0, 1}))
         assert is_refinement(fam({0}, {9}), fam({0, 1}))
-        assert not precise_refines(fam({0}, {9}), fam({0, 1}))
 
-    @given(families(), families())
-    def test_precise_implies_plain(self, f1, f2):
-        if precise_refines(f1, f2):
-            assert is_refinement(f1, f2)
+
+def _evidence(family, a):
+    return classify_all(family, family.universe() | {a}).by_attr[a]
 
 
 class TestPreciseRefinementWitness:
+    """An unnecessary attribute's ``refinements`` evidence: substitutes that
+    precisely refine its containing members."""
+
     def test_present_for_a4(self, triple_family):
-        w = precise_refinement_witness(triple_family, 3)
-        assert w == fam({0, 1}, {0, 2})
+        pairs = _evidence(triple_family, 3).refinements
+        assert fam(*(m for _, m in pairs)) == fam({0, 1}, {0, 2})
 
     def test_absent_for_a1(self, triple_family):
-        assert precise_refinement_witness(triple_family, 0) is None
+        ev = _evidence(triple_family, 0)
+        assert ev.refinements is None
+        assert ev.blocked_by in containing_sets(triple_family, 0)
 
     def test_vacuously_present_for_absent_attribute(self, triple_family):
-        w = precise_refinement_witness(triple_family, 9)
-        assert w is not None and len(w) == 0
+        assert _evidence(triple_family, 9).refinements == ()
 
     @given(families(), st.integers(0, 4))
     def test_soundness(self, f, a):
-        w = precise_refinement_witness(f, a)
+        pairs = _evidence(f, a).refinements
         e, n = substitute_sets(f, a), containing_sets(f, a)
-        assert (w is not None) == is_refinement(e, n)
-        if w is not None:
-            assert set(w.members) <= set(e.members)
-            assert not set(w.members) & set(n.members)
-            assert precise_refines(w, n)
+        assert (pairs is not None) == is_refinement(e, n)
+        if pairs is not None:
+            # One substitute per container, inside it: each witness member
+            # fits inside a container and each container holds one.
+            assert [k for k, _ in pairs] == list(n)
+            assert all(m <= k and m in e for k, m in pairs)
+            assert not {m for _, m in pairs} & set(n)
 
 
 class TestClassify:

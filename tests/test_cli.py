@@ -1,16 +1,20 @@
 import importlib
 import io
 import json
+import random
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import run_child
 from reducts import cli, discern
 from reducts.cli import RunConfig, main, run
 from reducts.errors import InputError
+from reducts.reducers import ReductStatus
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -459,6 +463,111 @@ class TestRunApi:
             RunConfig(
                 path=triple_csv, kind="table", command="audit", max_attrs=0
             )
+
+
+def _stdlib_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TRICKY_STRINGS = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n\t\r", " ", "\x7f", "é", "объект", "日本", "🙂", ""]
+)
+_STRINGS = st.text() | _TRICKY_STRINGS
+# Lists of strings alone take the writer's one-join path, so they are leaves
+# of their own.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | _STRINGS
+    | st.lists(_STRINGS),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_STRINGS, inner),
+    max_leaves=40,
+)
+
+
+class _Name(str):
+    pass
+
+
+class TestJsonWriter:
+    @given(_JSON_VALUES)
+    def test_matches_stdlib_indented_sorted(self, value):
+        assert cli._dumps(value, "\n") == _stdlib_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1.5,
+            [1, 2.5],
+            {"a": float("nan")},
+            {1: "a"},
+            {"a": 1, 2: "b"},
+            {("a",): 1},
+            {"a"},
+            frozenset(),
+            ReductStatus.VALID,
+            type("Count", (int,), {})(3),
+        ],
+        ids=repr,
+    )
+    def test_unknown_values_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value, "\n")
+
+    @pytest.mark.parametrize(
+        "value",
+        [_Name("x"), [_Name("x")], ["y", _Name("x")], {"k": _Name("x")}, {_Name("k"): 1}],
+        ids=repr,
+    )
+    def test_str_subclass_raises_or_matches_stdlib(self, value):
+        try:
+            written = cli._dumps(value, "\n")
+        except TypeError:
+            return
+        assert written == _stdlib_dumps(value)
+
+
+def _seeded_table(seed: int, *, id_col: bool) -> str:
+    """CSV text of a small seeded table drawn from a pool of few rows, so
+    most rows repeat; with ``id_col``, labels and names are non-ASCII."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    pool = [[str(rng.randrange(3)) for _ in range(m)] for _ in range(rng.randint(2, 5))]
+    rows = [rng.choice(pool) for _ in range(rng.randint(4, 10))]
+    if not id_col:
+        header = [f"a{k + 1}" for k in range(m)]
+        return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+    header = ["id", *(f"ä{k}\\ß" for k in range(m))]
+    labels = [f"obj-{k}-日本-é" for k in range(len(rows))]
+    body = [[label, *r] for label, r in zip(labels, rows)]
+    return "\n".join(",".join(r) for r in [header, *body]) + "\n"
+
+
+_ROUND_TRIP_COMMANDS = [
+    ["matrix"],
+    ["classify"],
+    ["reduct"],
+    ["reduct", "--algo", "yao", "--select", "freq", "--verbose"],
+    ["reduct", "--no-minimize", "--verbose"],
+    ["all-reducts"],
+    ["relations"],
+    ["audit"],
+    ["covering"],
+]
+
+
+@pytest.mark.parametrize("id_col", [False, True], ids=["plain", "id-col"])
+@pytest.mark.parametrize("seed", range(4))
+def test_json_report_reserializes_byte_identically(capsys, tmp_path, seed, id_col):
+    """Every subcommand's JSON report is its own canonical serialization
+    (``run_json`` re-serializes it with the stdlib and compares bytes)."""
+    path = tmp_path / "table.csv"
+    path.write_text(_seeded_table(seed, id_col=id_col), encoding="utf-8")
+    extra = ["--id-col"] if id_col else []
+    for command in _ROUND_TRIP_COMMANDS:
+        run_json(capsys, [*command, "--format", "json", *extra, str(path)])
 
 
 def _run_in_child(argv, triple_csv):

@@ -6,7 +6,6 @@ from helpers import fam, families
 from reducts.covering import (
     CoveringSpace,
     cov_lower,
-    cov_upper,
     covering_from_family,
     minimal_description,
     neighborhood,
@@ -86,20 +85,15 @@ class TestApproximations:
     def test_triple_pair(self, triple_space):
         target = frozenset({0, 1})
         assert cov_lower(triple_space, target) == frozenset({0, 1})
-        assert cov_upper(triple_space, target) == frozenset({0, 1, 2, 3})
 
     def test_extremes(self, triple_space):
         assert cov_lower(triple_space, frozenset()) == frozenset()
-        assert cov_upper(triple_space, frozenset()) == frozenset()
         assert cov_lower(triple_space, triple_space.ground) == triple_space.ground
-        assert cov_upper(triple_space, triple_space.ground) == triple_space.ground
 
     @given(families(), st.frozensets(st.integers(0, 4), max_size=5))
     def test_bounds(self, f, x):
         space = covering_from_family(f)
         assert cov_lower(space, x) <= x
-        assert (x & space.ground) <= cov_upper(space, x)
-        assert cov_lower(space, x) <= cov_upper(space, x) | frozenset()
 
 
 class TestSingletonEquivalences:

@@ -1,17 +1,13 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from helpers import systems
+from helpers import is_reduct, systems
 from reducts.errors import InputError
 from reducts.model import (
     InformationSystem,
     Partition,
-    approximations,
     indiscernibility_partition,
     is_consistent,
-    is_precise,
-    is_reduct,
     load_table,
     refines,
 )
@@ -108,23 +104,6 @@ class TestConsistencyAndReducts:
         assert not is_consistent(s, s.attr_subset(["a1", "a3"]))
 
 
-class TestApproximations:
-    def test_precise_target(self, triple_reduct):
-        full = indiscernibility_partition(triple_reduct, triple_reduct.all_attrs())
-        target = frozenset({0, 1, 2})
-        lower, upper = approximations(full, target)
-        assert lower == upper == target
-        assert is_precise(full, target)
-
-    def test_rough_target(self, triple_reduct):
-        full = indiscernibility_partition(triple_reduct, triple_reduct.all_attrs())
-        target = frozenset({0, 2, 3})
-        lower, upper = approximations(full, target)
-        assert lower == frozenset({2, 3})
-        assert upper == frozenset({0, 1, 2, 3})
-        assert not is_precise(full, target)
-
-
 class TestLoadTable:
     def test_plain(self):
         s = load_table("a,b\n0,1\n1,1\n")
@@ -176,12 +155,3 @@ class TestPartitionProperties:
             if is_consistent(s, frozenset(attrs - {a})):
                 attrs.discard(a)
         assert is_reduct(s, frozenset(attrs))
-
-    @given(systems(), st.data())
-    def test_approximation_bounds(self, s, data):
-        target = frozenset(
-            data.draw(st.sets(st.integers(0, s.n_objects - 1), max_size=s.n_objects))
-        )
-        p = indiscernibility_partition(s, s.all_attrs())
-        lower, upper = approximations(p, target)
-        assert lower <= target <= upper

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fam, families, reducts_by_partitions, systems
+from helpers import fam, families, is_reduct, reducts_by_partitions, systems
 from reducts.discern import (
     absorb,
     discernibility_matrix,
@@ -252,8 +252,6 @@ class TestEaReduce:
 class TestCrossAlgorithm:
     @given(systems(), st.sampled_from(POLICIES))
     def test_both_algorithms_emit_true_reducts_of_the_table(self, s, policy):
-        from reducts.model import is_reduct
-
         f = discernibility_matrix(s).family
         for result in (yao_row_wise(f, policy)[0], ea_reduce(f, policy)[0]):
             assert is_reduct(s, result)
