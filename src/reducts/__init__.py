@@ -13,10 +13,7 @@ from .characters import (
     AttributeEvidence,
     Character,
     CharacterReport,
-    classify,
     classify_all,
-    classify_by_refinement,
-    is_refinement,
 )
 from .covering import (
     CoveringSpace,
@@ -81,10 +78,7 @@ __all__ = [
     "AttributeEvidence",
     "Character",
     "CharacterReport",
-    "classify",
     "classify_all",
-    "classify_by_refinement",
-    "is_refinement",
     "CoveringSpace",
     "SingletonChecks",
     "cov_lower",

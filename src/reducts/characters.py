@@ -1,11 +1,13 @@
 """Three-way attribute classification over a discernibility family.
 
 Every attribute is core (in every reduct), relatively necessary (in some
-but not all reducts), or unnecessary (in none).  Two rules decide this
-without enumerating reducts: membership in the absorbed family's union,
-and refinement of the containing sets by the substitute sets.  Both are
-implemented; the batch classifier runs both and refuses to answer if they
-ever disagree, because a disagreement means a bug, not a judgement call.
+but not all reducts), or unnecessary (in none).  Core is a singleton
+member.  Two rules decide the rest without enumerating reducts:
+membership in the absorbed family's union, and refinement of the
+containing sets N(a) by the substitute sets E(a).  Both run inside
+``classify_all`` on one absorption of the family and one N(a) and E(a)
+per attribute; it refuses to answer if they ever disagree, because a
+disagreement means a bug, not a judgement call.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ __all__ = [
     "Character",
     "AttributeEvidence",
     "CharacterReport",
-    "is_refinement",
-    "classify",
-    "classify_by_refinement",
     "classify_all",
 ]
 
@@ -38,15 +37,19 @@ class Character(Enum):
 class AttributeEvidence:
     """Why one attribute got its character.
 
-    Core carries its singleton family member.  Unnecessary carries one
-    substitute member inside each containing member, as (container,
-    substitute) pairs; those substitutes precisely refine the containing
-    members, each lying inside one and each container holding one.
-    Relatively necessary carries the first containing member no substitute
-    fits into.
+    ``containing`` is N(a), the members holding the attribute, and
+    ``substitutes`` is E(a), the members avoiding it inside the union of
+    N(a); both keep the family's member order.  Core carries its singleton
+    family member.  Unnecessary carries one substitute member inside each
+    containing member, as (container, substitute) pairs; those substitutes
+    precisely refine the containing members, each lying inside one and
+    each container holding one.  Relatively necessary carries the first
+    containing member no substitute fits into.
     """
 
     character: Character
+    containing: SetFamily
+    substitutes: SetFamily
     singleton: AttrSet | None = None
     refinements: tuple[tuple[AttrSet, AttrSet], ...] | None = None
     blocked_by: AttrSet | None = None
@@ -77,22 +80,16 @@ class CharacterReport:
         return self.with_character(Character.UNNECESSARY)
 
 
-def is_refinement(finer: SetFamily, coarser: SetFamily) -> bool:
-    """True when every member of ``coarser`` contains some member of ``finer``."""
-    return all(any(m <= k for m in finer) for k in coarser)
-
-
 def _witness_pairs(
-    family: SetFamily, a: int
+    containing: SetFamily, substitutes: SetFamily
 ) -> tuple[tuple[tuple[AttrSet, AttrSet], ...], AttrSet | None]:
     """Per containing member, the first substitute inside it.
 
     Returns the collected (container, substitute) pairs and the first
     container with no substitute, if any.
     """
-    substitutes = substitute_sets(family, a)
     pairs: list[tuple[AttrSet, AttrSet]] = []
-    for k in containing_sets(family, a):
+    for k in containing:
         m = next((m for m in substitutes if m <= k), None)
         if m is None:
             return tuple(pairs), k
@@ -100,58 +97,43 @@ def _witness_pairs(
     return tuple(pairs), None
 
 
-def classify(family: SetFamily, a: int) -> Character:
-    """Character of ``a`` from the absorbed family.
-
-    Core when ``{a}`` is a member; relatively necessary when ``a`` appears
-    in some inclusion-minimal member; unnecessary otherwise.
-    """
-    if frozenset({a}) in family:
-        return Character.CORE
-    if any(a in m for m in absorb(family).minimal):
-        return Character.RELATIVE_NECESSARY
-    return Character.UNNECESSARY
-
-
-def classify_by_refinement(family: SetFamily, a: int) -> Character:
-    """Character of ``a`` by whether its substitutes refine its containers."""
-    if frozenset({a}) in family:
-        return Character.CORE
-    if is_refinement(substitute_sets(family, a), containing_sets(family, a)):
-        return Character.UNNECESSARY
-    return Character.RELATIVE_NECESSARY
-
-
 def classify_all(family: SetFamily, attrs: AttrSet | None = None) -> CharacterReport:
     """Classify every attribute by both rules, with supporting evidence.
 
     ``attrs`` defaults to the family's universe; pass the full attribute
     set of a table so constant attributes (absent from the family) are
-    reported too.  Both classification rules run on every attribute and
-    must agree; a mismatch raises rather than picking a side.
+    reported too.  An attribute is necessary by the absorbed-family rule
+    when it lies in some inclusion-minimal member, and by the refinement
+    rule when some containing member holds no substitute; a necessary
+    attribute is core when it is a singleton member.  The two rules must
+    agree on every attribute, core included; a mismatch raises rather
+    than picking a side.
     """
     if attrs is None:
         attrs = family.universe()
+    relevant = absorb(family).minimal.universe()
     report: dict[int, AttributeEvidence] = {}
     for a in sorted(attrs):
-        first = classify(family, a)
-        second = classify_by_refinement(family, a)
-        if first is not second:
+        containing = containing_sets(family, a)
+        substitutes = substitute_sets(family, a)
+        pairs, blocked = _witness_pairs(containing, substitutes)
+        singleton = frozenset({a})
+        necessary = (
+            Character.CORE if singleton in family else Character.RELATIVE_NECESSARY
+        )
+        by_absorption = necessary if a in relevant else Character.UNNECESSARY
+        by_refinement = Character.UNNECESSARY if blocked is None else necessary
+        if by_absorption is not by_refinement:
             raise InvariantViolation(
                 f"classification rules disagree on attribute {a}: "
-                f"{first.value} vs {second.value}"
+                f"{by_absorption.value} vs {by_refinement.value}"
             )
-        pairs, blocked = _witness_pairs(family, a)
-        if first is Character.CORE:
-            ev = AttributeEvidence(first, singleton=frozenset({a}))
-        elif first is Character.UNNECESSARY:
-            ev = AttributeEvidence(first, refinements=pairs)
+        character = by_absorption
+        if character is Character.CORE:
+            ev = AttributeEvidence(character, containing, substitutes, singleton=singleton)
+        elif character is Character.UNNECESSARY:
+            ev = AttributeEvidence(character, containing, substitutes, refinements=pairs)
         else:
-            if blocked is None:
-                raise InvariantViolation(
-                    f"attribute {a} is relatively necessary but every "
-                    "containing member has a substitute"
-                )
-            ev = AttributeEvidence(first, blocked_by=blocked)
+            ev = AttributeEvidence(character, containing, substitutes, blocked_by=blocked)
         report[a] = ev
     return CharacterReport(report)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .characters import classify_all
 from .covering import covering_from_family, minimal_description, neighborhood, singleton_equivalences
-from .discern import SetFamily, discernibility_matrix, family_from_names, containing_sets, reducts_by_expansion, substitute_sets
+from .discern import SetFamily, discernibility_matrix, family_from_names, reducts_by_expansion
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .model import InformationSystem, load_table, set_names
 from .reducers import (
@@ -200,10 +200,10 @@ def _cmd_classify(loaded: _Loaded, config: RunConfig):
     }
     families = {
         loaded.names[a]: {
-            "containing": loaded.family_names(containing_sets(loaded.family, a)),
-            "substitutes": loaded.family_names(substitute_sets(loaded.family, a)),
+            "containing": loaded.family_names(ev.containing),
+            "substitutes": loaded.family_names(ev.substitutes),
         }
-        for a in sorted(report.by_attr)
+        for a, ev in sorted(report.by_attr.items())
     }
     result = {
         "characters": characters,

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .characters import Character, classify_all
-from .discern import (
-    SetFamily,
-    absorb,
-    containing_sets,
-    discernibility_matrix,
-    substitute_sets,
-)
+from .discern import SetFamily, absorb, containing_sets, discernibility_matrix
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .model import AttrSet, InformationSystem, indiscernibility_partition, refines, set_names
+from .model import (
+    AttrSet,
+    InformationSystem,
+    Partition,
+    indiscernibility_partition,
+    refines,
+    set_names,
+)
 from .reducers import all_reducts_bruteforce
 
 __all__ = [
@@ -58,6 +59,11 @@ def _check_attr(system: InformationSystem, a: int) -> None:
         raise InputError(f"attribute index {a} out of range")
 
 
+def _attr_partitions(system: InformationSystem, attrs) -> dict[int, Partition]:
+    """The partition each attribute of ``attrs`` induces on its own."""
+    return {a: indiscernibility_partition(system, frozenset({a})) for a in attrs}
+
+
 def attr_finer(
     system: InformationSystem, a: int, b: int, *, family: SetFamily | None = None
 ) -> bool:
@@ -71,10 +77,12 @@ def attr_finer(
     _check_attr(system, b)
     if family is None:
         family = discernibility_matrix(system).family
-    by_partition = refines(
-        indiscernibility_partition(system, frozenset({a})),
-        indiscernibility_partition(system, frozenset({b})),
-    )
+    return _finer(_attr_partitions(system, (a, b)), family, a, b)
+
+
+def _finer(parts: dict[int, Partition], family: SetFamily, a: int, b: int) -> bool:
+    """``attr_finer`` on partitions already built."""
+    by_partition = refines(parts[a], parts[b])
     by_membership = finer_by_membership(family, a, b)
     if by_partition != by_membership:
         raise InvariantViolation(
@@ -88,11 +96,18 @@ def attr_equivalent(
     system: InformationSystem, a: int, b: int, *, family: SetFamily | None = None
 ) -> bool:
     """True when ``a`` and ``b`` induce the same partition; cross-checked."""
+    _check_attr(system, a)
+    _check_attr(system, b)
     if family is None:
         family = discernibility_matrix(system).family
-    both_ways = attr_finer(system, a, b, family=family) and attr_finer(
-        system, b, a, family=family
-    )
+    return _equivalent(_attr_partitions(system, (a, b)), family, a, b)
+
+
+def _equivalent(
+    parts: dict[int, Partition], family: SetFamily, a: int, b: int
+) -> bool:
+    """``attr_equivalent`` on partitions already built."""
+    both_ways = _finer(parts, family, a, b) and _finer(parts, family, b, a)
     by_membership = equivalent_by_membership(family, a, b)
     if both_ways != by_membership:
         raise InvariantViolation(
@@ -155,11 +170,11 @@ def relation_report_from_system(
     """Survey all relations on a table, with dual-criterion cross-checks."""
     family = discernibility_matrix(system).family
     reducts = all_reducts_bruteforce(family, system.all_attrs())
-    attrs = sorted(system.all_attrs())
+    parts = _attr_partitions(system, range(system.n_attributes))
     return _build_report(
-        attrs,
-        lambda a, b: attr_finer(system, a, b, family=family),
-        lambda a, b: attr_equivalent(system, a, b, family=family),
+        sorted(parts),
+        lambda a, b: _finer(parts, family, a, b),
+        lambda a, b: _equivalent(parts, family, a, b),
         reducts,
         queries,
     )
@@ -239,16 +254,15 @@ class _Auditor:
         self.names = names
         self.universe = frozenset(range(n_attrs))
         self.member_masks = [self._mask(m) for m in family]
+        self.characters = classify_all(family, self.universe)
+        evidence = self.characters.by_attr
         self.n_masks = {
-            a: [self._mask(k) for k in containing_sets(family, a)]
-            for a in range(n_attrs)
+            a: [self._mask(k) for k in ev.containing] for a, ev in evidence.items()
         }
         self.e_masks = {
-            a: [self._mask(k) for k in substitute_sets(family, a)]
-            for a in range(n_attrs)
+            a: [self._mask(k) for k in ev.substitutes] for a, ev in evidence.items()
         }
         self.reducts = all_reducts_bruteforce(family, self.universe)
-        self.characters = classify_all(family, self.universe)
         self.instances: list[ClaimInstance] = []
 
     @staticmethod
@@ -496,17 +510,14 @@ def _partition_claims(
     attribute it refines."""
     names = system.attributes
     n = system.n_attributes
-    parts = {
-        a: indiscernibility_partition(system, frozenset({a})) for a in range(n)
-    }
+    parts = _attr_partitions(system, range(n))
+    evidence = auditor.characters.by_attr
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
             lhs = refines(parts[a], parts[b])
-            witness = next(
-                (k for k in containing_sets(auditor.family, b) if a not in k), None
-            )
+            witness = next((k for k in evidence[b].containing if a not in k), None)
             rhs = witness is None
             detail = (
                 f"member {auditor._set_str(witness)} holds {names[b]} without "

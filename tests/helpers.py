@@ -87,6 +87,11 @@ def fam(*sets) -> SetFamily:
     return SetFamily(tuple(frozenset(s) for s in sets))
 
 
+def is_refinement(finer: SetFamily, coarser: SetFamily) -> bool:
+    """True when every member of ``coarser`` contains some member of ``finer``."""
+    return all(any(m <= k for m in finer) for k in coarser)
+
+
 def make_random_system(
     rng: random.Random,
     max_objects: int = 8,

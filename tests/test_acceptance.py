@@ -13,7 +13,7 @@ import random
 import time
 
 from helpers import PROVEN_CLAIMS, make_random_system, reducts_by_partitions
-from reducts.characters import Character, classify, classify_all, classify_by_refinement
+from reducts.characters import Character, classify_all
 from reducts.cli import main as cli_main
 from reducts.covering import covering_from_family, singleton_equivalences
 from reducts.discern import (
@@ -228,6 +228,7 @@ def test_criterion_5_oracle_equivalence_suite():
         assert set(all_reducts_bruteforce(family, system.all_attrs())) == oracle
         assert set(reducts_by_expansion(family)) == oracle
 
+        characters = classify_all(family, system.all_attrs())
         for a in sorted(system.all_attrs()):
             hits = sum(1 for r in oracle if a in r)
             if hits == len(oracle):
@@ -236,8 +237,7 @@ def test_criterion_5_oracle_equivalence_suite():
                 expected = Character.UNNECESSARY
             else:
                 expected = Character.RELATIVE_NECESSARY
-            assert classify(family, a) is expected
-            assert classify_by_refinement(family, a) is expected
+            assert characters.character(a) is expected
 
         for policy in POLICIES:
             assert yao_row_wise(family, policy)[0] in oracle

@@ -2,15 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fam, families
-from reducts.characters import (
-    Character,
-    classify,
-    classify_all,
-    classify_by_refinement,
-    is_refinement,
-)
+from helpers import fam, families, is_refinement
+from reducts import characters
+from reducts.characters import Character, classify_all
 from reducts.discern import (
+    Absorption,
+    SetFamily,
     absorb,
     containing_sets,
     discernibility_matrix,
@@ -18,6 +15,7 @@ from reducts.discern import (
     reducts_by_expansion,
     substitute_sets,
 )
+from reducts.errors import InvariantViolation
 
 CORE = Character.CORE
 RN = Character.RELATIVE_NECESSARY
@@ -57,6 +55,10 @@ def _evidence(family, a):
     return classify_all(family, family.universe() | {a}).by_attr[a]
 
 
+def _character(family, a):
+    return _evidence(family, a).character
+
+
 class TestPreciseRefinementWitness:
     """An unnecessary attribute's ``refinements`` evidence: substitutes that
     precisely refine its containing members."""
@@ -87,26 +89,34 @@ class TestPreciseRefinementWitness:
 
 
 class TestClassify:
+    """``classify_all`` runs both rules per attribute and raises if they
+    split, so one character read back covers both."""
+
     def test_triple_both_rules(self, triple_family):
-        for rule in (classify, classify_by_refinement):
-            assert rule(triple_family, 0) is RN
-            assert rule(triple_family, 1) is RN
-            assert rule(triple_family, 2) is RN
-            assert rule(triple_family, 3) is UN
+        assert _character(triple_family, 0) is RN
+        assert _character(triple_family, 1) is RN
+        assert _character(triple_family, 2) is RN
+        assert _character(triple_family, 3) is UN
 
     def test_ladder_both_rules(self, ladder_family):
-        for rule in (classify, classify_by_refinement):
-            assert rule(ladder_family, 0) is RN
-            assert rule(ladder_family, 1) is RN
-            assert rule(ladder_family, 2) is CORE
+        assert _character(ladder_family, 0) is RN
+        assert _character(ladder_family, 1) is RN
+        assert _character(ladder_family, 2) is CORE
 
     def test_absent_attribute_is_unnecessary(self, triple_family):
-        assert classify(triple_family, 9) is UN
-        assert classify_by_refinement(triple_family, 9) is UN
+        assert _character(triple_family, 9) is UN
 
     @given(families(), st.integers(0, 4))
     def test_rules_agree(self, f, a):
-        assert classify(f, a) is classify_by_refinement(f, a)
+        # Each rule restated from its definition, apart from the classifier.
+        by_absorption = a in absorb(f).minimal.universe()
+        by_refinement = not is_refinement(
+            substitute_sets(f, a), containing_sets(f, a)
+        )
+        assert by_absorption == by_refinement
+        character = _character(f, a)
+        assert (character is not UN) == by_absorption
+        assert (character is CORE) == (frozenset({a}) in f)
 
     @given(families(max_attrs=4))
     def test_characters_match_reduct_membership(self, f):
@@ -115,7 +125,7 @@ class TestClassify:
         in_some = frozenset().union(*reducts)
         for a in range(5):
             want = CORE if a in in_all else RN if a in in_some else UN
-            assert classify(f, a) is want, a
+            assert _character(f, a) is want, a
 
     @given(families(max_attrs=4))
     def test_reduct_union_and_intersection_match_family_views(self, f):
@@ -170,3 +180,37 @@ class TestClassifyAll:
     def test_never_raises_on_real_families(self, f):
         report = classify_all(f, attrs=frozenset(range(5)))
         assert set(report.by_attr) == set(range(5))
+
+    @given(families(), st.integers(0, 5))
+    def test_evidence_carries_the_derived_families(self, f, a):
+        ev = classify_all(f, f.universe() | {a}).by_attr[a]
+        assert ev.containing.members == containing_sets(f, a).members
+        assert ev.substitutes.members == substitute_sets(f, a).members
+
+
+class TestRuleCrossCheck:
+    """A fault in either rule's input surfaces as a disagreement."""
+
+    def test_core_attributes_are_cross_checked(self, monkeypatch):
+        # An absorption that loses singleton members: the absorbed-family
+        # rule no longer sees the core attribute, the refinement rule does.
+        def lossy(family):
+            kept = absorb(family).minimal
+            return Absorption(SetFamily(tuple(m for m in kept if len(m) > 1)), ())
+
+        monkeypatch.setattr(characters, "absorb", lossy)
+        with pytest.raises(
+            InvariantViolation,
+            match="classification rules disagree on attribute 0: unnecessary vs core",
+        ):
+            classify_all(fam({0}, {1, 2}))
+
+    def test_non_core_attributes_are_cross_checked(self, monkeypatch, triple_family):
+        # No substitutes: every containing member is blocked, so the
+        # refinement rule calls the unnecessary a4 necessary.
+        monkeypatch.setattr(characters, "substitute_sets", lambda f, a: fam())
+        with pytest.raises(
+            InvariantViolation,
+            match="attribute 3: unnecessary vs relative_necessary",
+        ):
+            classify_all(triple_family)

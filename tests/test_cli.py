@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -449,6 +450,95 @@ def test_object_pairs_compared_once_per_pass(
     assert 1 <= len(started) <= passes
 
 
+def _watch(monkeypatch, *qualnames):
+    """Rebind each ``module.function`` of the package, under every name any
+    ``reducts`` module holds it by, to a wrapper logging each call as
+    (qualname, qualnames of the watched calls enclosing it)."""
+    log: list[tuple[str, tuple[str, ...]]] = []
+    stack: list[str] = []
+    for qualname in qualnames:
+        module_name, _, attr = qualname.partition(".")
+        fn = getattr(importlib.import_module(f"reducts.{module_name}"), attr)
+
+        def wrapper(*args, _fn=fn, _name=qualname, **kwargs):
+            log.append((_name, tuple(stack)))
+            stack.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        for name, module in list(sys.modules.items()):
+            if name == "reducts" or name.startswith("reducts."):
+                for binding, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, binding, wrapper)
+    return log
+
+
+def _calls(log, qualname, *, under=None):
+    return [outer for name, outer in log if name == qualname and (under is None or under in outer)]
+
+
+@pytest.fixture
+def ten_attr_csv(tmp_path):
+    rng = random.Random(8)
+    rows = [[f"a{k}" for k in range(10)]]
+    rows += [[str(rng.randrange(3)) for _ in range(10)] for _ in range(30)]
+    path = tmp_path / "ten.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return str(path)
+
+
+class TestOneProducer:
+    """``classify_all`` absorbs the family once and derives each attribute's
+    containing and substitute sets once; the commands read its evidence."""
+
+    WATCHED = (
+        "discern.absorb",
+        "discern.containing_sets",
+        "discern.substitute_sets",
+        "characters.classify_all",
+        "relations.equivalent_by_membership",
+        "relations.finer_by_membership",
+    )
+
+    def test_classify_derives_each_family_once(self, capsys, monkeypatch, ten_attr_csv):
+        log = _watch(monkeypatch, *self.WATCHED)
+        report = run_json(capsys, ["classify", "--format", "json", ten_attr_csv])
+        assert len(report["attributes"]) == 10
+        assert len(_calls(log, "discern.absorb")) == 1
+        assert len(_calls(log, "discern.substitute_sets")) == 10
+        containing = _calls(log, "discern.containing_sets")
+        assert len(containing) == 20
+        assert len(_calls(log, "discern.containing_sets", under="discern.substitute_sets")) == 10
+        assert all("characters.classify_all" in outer for outer in containing)
+
+    def test_audit_reads_the_classifier_families(self, capsys, monkeypatch, triple_csv):
+        log = _watch(monkeypatch, *self.WATCHED)
+        report = run_json(capsys, ["audit", "--format", "json", triple_csv])
+        n = len(report["attributes"])
+        substitutes = _calls(log, "discern.substitute_sets")
+        assert len(substitutes) == n
+        assert all("characters.classify_all" in outer for outer in substitutes)
+        # Outside the classifier only the membership relations derive N(a).
+        for outer in _calls(log, "discern.containing_sets"):
+            assert {
+                "characters.classify_all",
+                "relations.equivalent_by_membership",
+                "relations.finer_by_membership",
+            } & set(outer), outer
+
+    def test_cli_binds_neither_family_function(self):
+        assert not hasattr(cli, "containing_sets")
+        assert not hasattr(cli, "substitute_sets")
+
+    def test_relations_builds_each_partition_once(self, capsys, monkeypatch, ten_attr_csv):
+        log = _watch(monkeypatch, "model.indiscernibility_partition")
+        run_json(capsys, ["relations", "--format", "json", ten_attr_csv])
+        assert len(_calls(log, "model.indiscernibility_partition")) == 10
+
+
 class TestRunApi:
     def test_run_writes_to_stream(self, triple_csv):
         out = io.StringIO()
@@ -594,3 +684,99 @@ def test_console_script_is_wired(triple_csv):
 @pytest.mark.skipif(shutil.which("reducts") is None, reason="reducts not installed")
 def test_installed_console_script_runs(triple_csv):
     _assert_classifies_triple(_run_in_child([shutil.which("reducts")], triple_csv))
+
+
+_CLEAN_CELLS = st.sampled_from(["0", "1", "2", "é"])
+_DIRTY_CELLS = st.sampled_from(["0", "", " ", '"', "x,y", "\ufeff", "\x00"])
+_FUZZ_NAMES = st.sampled_from(["a1", "a2", "a3", "ä", "", " "])
+
+
+@st.composite
+def _csv_text(draw):
+    """Rectangular tables, some wider than the audit or enumeration caps,
+    beside ragged, empty and header-only ones; joined by hand, so stray
+    quotes and commas reach the parser."""
+    width = draw(st.sampled_from([1, 2, 3, 4, 5, 12, 21]))
+    header = [f"a{k + 1}" for k in range(width)]
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(
+                st.lists(_CLEAN_CELLS, min_size=width, max_size=width),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    else:
+        header = draw(st.lists(_FUZZ_NAMES, max_size=width + 1))
+        rows = draw(st.lists(st.lists(_DIRTY_CELLS, max_size=width + 1), max_size=8))
+    lines = [header, *rows] if draw(st.booleans()) or rows else []
+    return "\n".join(",".join(r) for r in lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _FUZZ_NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_FUZZ_NAMES, inner, max_size=2),
+    max_leaves=12,
+)
+_FAMILIES = st.lists(
+    st.lists(st.sampled_from(["a1", "a2", "a3", "a4", "ä"]), min_size=1, max_size=4),
+    max_size=6,
+)
+
+
+@st.composite
+def _fuzz_input(draw):
+    """File bytes and a file suffix that matches them half the time;
+    half the inputs start with a UTF-8 byte order mark."""
+    shape = draw(st.sampled_from(["table", "family", "json", "bytes", "spliced"]))
+    if shape == "table":
+        data, natural = draw(_csv_text()).encode("utf-8"), ".csv"
+    elif shape == "bytes":
+        data, natural = draw(st.binary(max_size=120)), ".csv"
+    else:
+        value = draw(_FAMILIES if shape == "family" else _JSON_VALUES)
+        data, natural = json.dumps(value, ensure_ascii=False).encode("utf-8"), ".json"
+        if shape == "spliced":
+            data = data[: draw(st.integers(0, len(data)))] + draw(st.binary(max_size=20))
+    suffix = draw(st.sampled_from([natural, ".csv", ".json", ".txt"]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data, suffix
+
+
+_FUZZ_COMMANDS = [
+    ["classify"],
+    ["matrix"],
+    ["reduct"],
+    ["reduct", "--algo", "yao", "--select", "freq", "--verbose"],
+    ["reduct", "--no-minimize"],
+    ["all-reducts"],
+    ["relations"],
+    ["relations", "--excludes", "a1->a2"],
+    ["audit"],
+    ["covering"],
+]
+
+
+@given(
+    case=_fuzz_input(),
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    kind=st.sampled_from([[], [], ["--kind", "table"], ["--kind", "family"]]),
+    id_col=st.sampled_from([[], ["--id-col"]]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_fuzzed_inputs_end_in_a_documented_exit_code(
+    tmp_path_factory, case, command, kind, id_col, fmt
+):
+    """Whatever the file holds, every subcommand exits 0, 1 or 3 with no
+    exception escaping ``main`` and no traceback on stderr."""
+    data, suffix = case
+    path = tmp_path_factory.getbasetemp() / f"fuzzed-input{suffix}"
+    path.write_bytes(data)
+    argv = [*command, *kind, *id_col, "--format", fmt, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3), (argv, data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue())
