@@ -63,13 +63,9 @@ from .relations import (
     AuditReport,
     ClaimInstance,
     RelationReport,
-    attr_equivalent,
-    attr_finer,
     audit_theorems,
     coupled,
-    equivalent_by_membership,
     excludes,
-    finer_by_membership,
     relation_report_from_family,
     relation_report_from_system,
 )
@@ -120,13 +116,9 @@ __all__ = [
     "AuditReport",
     "ClaimInstance",
     "RelationReport",
-    "attr_equivalent",
-    "attr_finer",
     "audit_theorems",
     "coupled",
-    "equivalent_by_membership",
     "excludes",
-    "finer_by_membership",
     "relation_report_from_family",
     "relation_report_from_system",
 ]

@@ -57,9 +57,14 @@ class AttributeEvidence:
 
 @dataclass(frozen=True, eq=False)
 class CharacterReport:
-    """Characters and evidence for a batch of attributes."""
+    """Characters and evidence for a batch of attributes.
+
+    ``minimal`` is the absorbed family, its inclusion-minimal members in
+    member order, from the one absorption the classifier runs.
+    """
 
     by_attr: dict[int, AttributeEvidence]
+    minimal: SetFamily
 
     def character(self, a: int) -> Character:
         return self.by_attr[a].character
@@ -111,7 +116,8 @@ def classify_all(family: SetFamily, attrs: AttrSet | None = None) -> CharacterRe
     """
     if attrs is None:
         attrs = family.universe()
-    relevant = absorb(family).minimal.universe()
+    minimal = absorb(family).minimal
+    relevant = minimal.universe()
     report: dict[int, AttributeEvidence] = {}
     for a in sorted(attrs):
         containing = containing_sets(family, a)
@@ -136,4 +142,4 @@ def classify_all(family: SetFamily, attrs: AttrSet | None = None) -> CharacterRe
         else:
             ev = AttributeEvidence(character, containing, substitutes, blocked_by=blocked)
         report[a] = ev
-    return CharacterReport(report)
+    return CharacterReport(report, minimal)

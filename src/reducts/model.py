@@ -97,15 +97,6 @@ class InformationSystem:
     def all_attrs(self) -> AttrSet:
         return frozenset(range(len(self.attributes)))
 
-    def attr_index(self, name: str) -> int:
-        try:
-            return self.attributes.index(name)
-        except ValueError:
-            raise InputError(f"unknown attribute {name!r}") from None
-
-    def attr_subset(self, names: Iterable[str]) -> AttrSet:
-        return frozenset(self.attr_index(name) for name in names)
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -3,7 +3,10 @@
 Four relations are computed from their definitions: one attribute refining
 another, two attributes inducing the same partition, two attributes being
 coupled (every reduct takes both or neither), and an attribute set
-excluding an attribute from any reduct extending it.  The audit then
+excluding an attribute from any reduct extending it.  One survey reads
+refinement and equivalence off N(a), the members holding each attribute,
+built once per attribute; on a table the survey is cross-checked against
+the single-attribute partitions, built once as well.  The audit then
 measures, by brute quantifier enumeration on a concrete table, a catalog
 of equivalence claims connecting these relations to the containing and
 substitute families.  Audited claims are measured, never trusted: each
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .characters import Character, classify_all
-from .discern import SetFamily, absorb, containing_sets, discernibility_matrix
-from .errors import InputError, InvariantViolation, ResourceLimitError
+from .discern import SetFamily, containing_sets, discernibility_matrix
+from .errors import InvariantViolation, ResourceLimitError
 from .model import (
     AttrSet,
     InformationSystem,
@@ -32,10 +35,6 @@ __all__ = [
     "RelationReport",
     "ClaimInstance",
     "AuditReport",
-    "finer_by_membership",
-    "equivalent_by_membership",
-    "attr_finer",
-    "attr_equivalent",
     "coupled",
     "excludes",
     "relation_report_from_system",
@@ -44,77 +43,12 @@ __all__ = [
 ]
 
 
-def finer_by_membership(family: SetFamily, a: int, b: int) -> bool:
-    """Membership form of refinement: ``a`` sits in every member holding ``b``."""
-    return all(a in k for k in containing_sets(family, b))
-
-
-def equivalent_by_membership(family: SetFamily, a: int, b: int) -> bool:
-    """Two attributes appear in exactly the same family members."""
-    return containing_sets(family, a) == containing_sets(family, b)
-
-
-def _check_attr(system: InformationSystem, a: int) -> None:
-    if not 0 <= a < system.n_attributes:
-        raise InputError(f"attribute index {a} out of range")
-
-
-def _attr_partitions(system: InformationSystem, attrs) -> dict[int, Partition]:
-    """The partition each attribute of ``attrs`` induces on its own."""
-    return {a: indiscernibility_partition(system, frozenset({a})) for a in attrs}
-
-
-def attr_finer(
-    system: InformationSystem, a: int, b: int, *, family: SetFamily | None = None
-) -> bool:
-    """True when ``a`` induces a partition at least as fine as ``b``.
-
-    Evaluates both the partition criterion and the membership criterion
-    over the discernibility family and insists they agree; they are two
-    readings of the same fact, so a split would be a bug.
-    """
-    _check_attr(system, a)
-    _check_attr(system, b)
-    if family is None:
-        family = discernibility_matrix(system).family
-    return _finer(_attr_partitions(system, (a, b)), family, a, b)
-
-
-def _finer(parts: dict[int, Partition], family: SetFamily, a: int, b: int) -> bool:
-    """``attr_finer`` on partitions already built."""
-    by_partition = refines(parts[a], parts[b])
-    by_membership = finer_by_membership(family, a, b)
-    if by_partition != by_membership:
-        raise InvariantViolation(
-            f"refinement criteria disagree on ({a}, {b}): "
-            f"partition {by_partition}, membership {by_membership}"
-        )
-    return by_partition
-
-
-def attr_equivalent(
-    system: InformationSystem, a: int, b: int, *, family: SetFamily | None = None
-) -> bool:
-    """True when ``a`` and ``b`` induce the same partition; cross-checked."""
-    _check_attr(system, a)
-    _check_attr(system, b)
-    if family is None:
-        family = discernibility_matrix(system).family
-    return _equivalent(_attr_partitions(system, (a, b)), family, a, b)
-
-
-def _equivalent(
-    parts: dict[int, Partition], family: SetFamily, a: int, b: int
-) -> bool:
-    """``attr_equivalent`` on partitions already built."""
-    both_ways = _finer(parts, family, a, b) and _finer(parts, family, b, a)
-    by_membership = equivalent_by_membership(family, a, b)
-    if both_ways != by_membership:
-        raise InvariantViolation(
-            f"equivalence criteria disagree on ({a}, {b}): "
-            f"mutual refinement {both_ways}, equal members {by_membership}"
-        )
-    return both_ways
+def _attr_partitions(system: InformationSystem) -> dict[int, Partition]:
+    """The partition each attribute induces on its own."""
+    return {
+        a: indiscernibility_partition(system, frozenset({a}))
+        for a in range(system.n_attributes)
+    }
 
 
 def coupled(reducts: list[AttrSet], a: int, b: int) -> bool:
@@ -143,63 +77,75 @@ class RelationReport:
     exclusions: tuple[tuple[AttrSet, int, bool], ...]
 
 
-def _build_report(
-    attrs: list[int],
-    finer,
-    equivalent,
-    reducts: list[AttrSet],
-    queries: tuple[tuple[AttrSet, int], ...],
+def relation_report_from_family(
+    family: SetFamily,
+    attrs: AttrSet | None = None,
+    queries: tuple[tuple[AttrSet, int], ...] = (),
 ) -> RelationReport:
+    """Survey relations on a family through the members holding each attribute.
+
+    N(a), the members containing ``a``, is built once per attribute: a
+    refines b when every member of N(b) holds a, and a and b are
+    equivalent when N(a) and N(b) are the same members.  An attribute in
+    no member has an empty N(a), so every attribute refines it.
+    """
+    if attrs is None:
+        attrs = family.universe()
+    order = sorted(attrs)
+    n = {a: containing_sets(family, a) for a in order}
+    reducts = all_reducts_bruteforce(family, frozenset(attrs))
     finer_pairs = tuple(
-        (a, b) for a in attrs for b in attrs if a != b and finer(a, b)
+        (a, b)
+        for a in order
+        for b in order
+        if a != b and all(a in k for k in n[b])
     )
-    equivalent_pairs = tuple(
-        (a, b) for a, b in combinations(attrs, 2) if equivalent(a, b)
+    pairs = list(combinations(order, 2))
+    return RelationReport(
+        finer_pairs,
+        tuple((a, b) for a, b in pairs if n[a] == n[b]),
+        tuple((a, b) for a, b in pairs if coupled(reducts, a, b)),
+        tuple((c, a, excludes(reducts, c, a)) for c, a in queries),
     )
-    coupled_pairs = tuple(
-        (a, b) for a, b in combinations(attrs, 2) if coupled(reducts, a, b)
-    )
-    exclusions = tuple((c, a, excludes(reducts, c, a)) for c, a in queries)
-    return RelationReport(finer_pairs, equivalent_pairs, coupled_pairs, exclusions)
 
 
 def relation_report_from_system(
     system: InformationSystem,
     queries: tuple[tuple[AttrSet, int], ...] = (),
 ) -> RelationReport:
-    """Survey all relations on a table, with dual-criterion cross-checks."""
-    family = discernibility_matrix(system).family
-    reducts = all_reducts_bruteforce(family, system.all_attrs())
-    parts = _attr_partitions(system, range(system.n_attributes))
-    return _build_report(
-        sorted(parts),
-        lambda a, b: _finer(parts, family, a, b),
-        lambda a, b: _equivalent(parts, family, a, b),
-        reducts,
-        queries,
-    )
+    """Survey all relations on a table, cross-checked against partitions.
 
-
-def relation_report_from_family(
-    family: SetFamily,
-    attrs: AttrSet | None = None,
-    queries: tuple[tuple[AttrSet, int], ...] = (),
-) -> RelationReport:
-    """Survey relations on a bare family via the membership criteria.
-
-    Without a table there are no partitions, so refinement and equivalence
-    use their membership forms directly.
+    The survey is the family survey over every attribute of the table.
+    Each attribute's partition is built once, and every ordered pair's
+    refinement and every unordered pair's equality of partitions must
+    match the survey's membership verdicts; a split raises, because the
+    two criteria read the same fact.
     """
-    if attrs is None:
-        attrs = family.universe()
-    reducts = all_reducts_bruteforce(family, frozenset(attrs))
-    return _build_report(
-        sorted(attrs),
-        lambda a, b: finer_by_membership(family, a, b),
-        lambda a, b: equivalent_by_membership(family, a, b),
-        reducts,
-        queries,
-    )
+    family = discernibility_matrix(system).family
+    report = relation_report_from_family(family, system.all_attrs(), queries)
+    parts = _attr_partitions(system)
+    finer = set(report.finer_pairs)
+    for a in parts:
+        for b in parts:
+            if a == b:
+                continue
+            by_partition = refines(parts[a], parts[b])
+            by_membership = (a, b) in finer
+            if by_partition != by_membership:
+                raise InvariantViolation(
+                    f"refinement criteria disagree on ({a}, {b}): "
+                    f"partition {by_partition}, membership {by_membership}"
+                )
+    equivalent = set(report.equivalent_pairs)
+    for a, b in combinations(parts, 2):
+        by_partition = parts[a] == parts[b]
+        by_membership = (a, b) in equivalent
+        if by_partition != by_membership:
+            raise InvariantViolation(
+                f"equivalence criteria disagree on ({a}, {b}): "
+                f"equal partitions {by_partition}, equal members {by_membership}"
+            )
+    return report
 
 
 @dataclass(frozen=True)
@@ -384,7 +330,7 @@ class _Auditor:
     def minimal_escape_claims(self) -> None:
         """For every multi-attribute minimal member, dropping one attribute
         leaves a set some reduct avoids entirely."""
-        for d in absorb(self.family).minimal:
+        for d in self.characters.minimal:
             if len(d) < 2:
                 continue
             for a in sorted(d):
@@ -510,7 +456,7 @@ def _partition_claims(
     attribute it refines."""
     names = system.attributes
     n = system.n_attributes
-    parts = _attr_partitions(system, range(n))
+    parts = _attr_partitions(system)
     evidence = auditor.characters.by_attr
     for a in range(n):
         for b in range(n):
@@ -542,7 +488,7 @@ def _partition_claims(
                 )
     for a, b in combinations(range(n), 2):
         lhs = parts[a] == parts[b]
-        rhs = equivalent_by_membership(auditor.family, a, b)
+        rhs = evidence[a].containing == evidence[b].containing
         subject = f"a={names[a]}, b={names[b]}"
         auditor.record(
             "equal_neighborhoods",

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
-import random
 import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +13,11 @@ from hypothesis import strategies as st
 import reducts
 from reducts.discern import SetFamily
 from reducts.model import AttrSet, InformationSystem, is_consistent
+
+# The seeded random table generator is the one ``measure_claims.py`` uses.
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+from measure_claims import random_system  # noqa: E402
 
 # Audited claims whose two sides can be shown to coincide on every table;
 # the audit must never find a disagreement for these.
@@ -90,25 +95,6 @@ def fam(*sets) -> SetFamily:
 def is_refinement(finer: SetFamily, coarser: SetFamily) -> bool:
     """True when every member of ``coarser`` contains some member of ``finer``."""
     return all(any(m <= k for m in finer) for k in coarser)
-
-
-def make_random_system(
-    rng: random.Random,
-    max_objects: int = 8,
-    max_attrs: int = 8,
-    max_symbols: int = 3,
-) -> InformationSystem:
-    n_attrs = rng.randint(1, max_attrs)
-    n_objects = rng.randint(1, max_objects)
-    rows = tuple(
-        tuple(rng.randrange(max_symbols) for _ in range(n_attrs))
-        for _ in range(n_objects)
-    )
-    return InformationSystem(
-        tuple(f"a{i + 1}" for i in range(n_attrs)),
-        rows,
-        tuple(str(i + 1) for i in range(n_objects)),
-    )
 
 
 def is_reduct(system: InformationSystem, attrs: AttrSet) -> bool:

@@ -12,7 +12,7 @@ import json
 import random
 import time
 
-from helpers import PROVEN_CLAIMS, make_random_system, reducts_by_partitions
+from helpers import PROVEN_CLAIMS, random_system, reducts_by_partitions
 from reducts.characters import Character, classify_all
 from reducts.cli import main as cli_main
 from reducts.covering import covering_from_family, singleton_equivalences
@@ -34,7 +34,12 @@ from reducts.reducers import (
     verify_reduct,
     yao_row_wise,
 )
-from reducts.relations import attr_finer, audit_theorems, excludes, finer_by_membership
+from reducts.relations import (
+    audit_theorems,
+    excludes,
+    relation_report_from_family,
+    relation_report_from_system,
+)
 
 POLICIES = (SelectionPolicy.FIRST, SelectionPolicy.MAX_FREQUENCY)
 
@@ -167,7 +172,7 @@ def test_criterion_3_exclusion_without_refinement(ladder_system, ladder_family_r
     # {a2} shuts a1 out of every reduct, yet a2's partition does not refine
     # a1's: the exclusion relation is strictly weaker than refinement.
     assert excludes(reducts, frozenset({1}), 0) is True
-    assert finer_by_membership(family, 1, 0) is False
+    assert (1, 0) not in relation_report_from_family(family).finer_pairs
 
     # Partition twin: no table produces exactly the five listed entries, so
     # the refinement half is checked on a table realizing the generating
@@ -182,7 +187,7 @@ def test_criterion_3_exclusion_without_refinement(ladder_system, ladder_family_r
         assert set(got.blocks) == twin_partitions[name]
     twin_family = discernibility_matrix(ladder_system).family
     assert set(twin_family) == set(family) | {frozenset({1})}
-    assert attr_finer(ladder_system, 1, 0) is False
+    assert (1, 0) not in relation_report_from_system(ladder_system).finer_pairs
 
 
 def test_criterion_4_substitute_walkthrough_trace(walkthrough_rows):
@@ -221,7 +226,7 @@ def test_criterion_5_oracle_equivalence_suite():
     started = time.perf_counter()
     rng = random.Random(20260815)
     for _ in range(500):
-        system = make_random_system(rng, max_objects=8, max_attrs=8, max_symbols=3)
+        system = random_system(rng, max_objects=8, max_attrs=8)
         family = discernibility_matrix(system).family
         oracle = reducts_by_partitions(system)
 
@@ -269,7 +274,7 @@ def test_criterion_6_claim_audit(triple_reduct, ladder_system, tmp_path, capsys)
 
     rng = random.Random(1387)
     for _ in range(100):
-        system = make_random_system(rng, max_objects=8, max_attrs=6, max_symbols=3)
+        system = random_system(rng, max_objects=8, max_attrs=6)
         report = audit_theorems(system)
         for row in report.instances:
             assert (row.counterexample is not None) == (not row.agree)
@@ -301,7 +306,7 @@ def test_criterion_7_covering_bridge():
             assert len(set(singleton_equivalences(space, x).as_tuple())) == 1
 
     for _ in range(120):
-        system = make_random_system(rng, max_objects=8, max_attrs=6, max_symbols=3)
+        system = random_system(rng, max_objects=8, max_attrs=6)
         family = discernibility_matrix(system).family
         report = classify_all(family, system.all_attrs())
         space = covering_from_family(family)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import run_child
-from reducts import cli, discern
+from reducts import cli, discern, relations
 from reducts.cli import RunConfig, main, run
 from reducts.errors import InputError
 from reducts.reducers import ReductStatus
@@ -291,6 +291,14 @@ class TestRelations:
         code, _, err = run_cli(capsys, ["relations", "--excludes", "a1", triple_csv])
         assert code == 1
 
+    def test_criteria_split_exits_2(self, capsys, monkeypatch, triple_csv):
+        monkeypatch.setattr(relations, "refines", lambda finer, coarser: False)
+        code, out, err = run_cli(capsys, ["relations", triple_csv])
+        assert code == 2
+        assert out == ""
+        assert "internal check failed: refinement criteria disagree" in err
+        assert "Traceback" not in err
+
 
 class TestAudit:
     def test_example_audit(self, capsys, triple_csv):
@@ -492,15 +500,16 @@ def ten_attr_csv(tmp_path):
 
 class TestOneProducer:
     """``classify_all`` absorbs the family once and derives each attribute's
-    containing and substitute sets once; the commands read its evidence."""
+    containing and substitute sets once; the commands read its evidence.
+    ``relations`` derives each attribute's containing sets once, in its
+    survey."""
 
     WATCHED = (
         "discern.absorb",
         "discern.containing_sets",
         "discern.substitute_sets",
         "characters.classify_all",
-        "relations.equivalent_by_membership",
-        "relations.finer_by_membership",
+        "relations.relation_report_from_family",
     )
 
     def test_classify_derives_each_family_once(self, capsys, monkeypatch, ten_attr_csv):
@@ -514,20 +523,29 @@ class TestOneProducer:
         assert len(_calls(log, "discern.containing_sets", under="discern.substitute_sets")) == 10
         assert all("characters.classify_all" in outer for outer in containing)
 
-    def test_audit_reads_the_classifier_families(self, capsys, monkeypatch, triple_csv):
+    def test_audit_reads_the_classifier_families(self, capsys, monkeypatch, ten_attr_csv):
         log = _watch(monkeypatch, *self.WATCHED)
-        report = run_json(capsys, ["audit", "--format", "json", triple_csv])
-        n = len(report["attributes"])
+        report = run_json(capsys, ["audit", "--format", "json", ten_attr_csv])
+        assert len(report["attributes"]) == 10
+        assert len(_calls(log, "discern.absorb")) == 1
         substitutes = _calls(log, "discern.substitute_sets")
-        assert len(substitutes) == n
+        assert len(substitutes) == 10
         assert all("characters.classify_all" in outer for outer in substitutes)
-        # Outside the classifier only the membership relations derive N(a).
-        for outer in _calls(log, "discern.containing_sets"):
-            assert {
-                "characters.classify_all",
-                "relations.equivalent_by_membership",
-                "relations.finer_by_membership",
-            } & set(outer), outer
+        containing = _calls(log, "discern.containing_sets")
+        assert len(containing) == 20
+        assert len(_calls(log, "discern.containing_sets", under="discern.substitute_sets")) == 10
+        assert all("characters.classify_all" in outer for outer in containing)
+
+    def test_relations_builds_each_membership_family_once(
+        self, capsys, monkeypatch, ten_attr_csv
+    ):
+        log = _watch(monkeypatch, *self.WATCHED)
+        run_json(capsys, ["relations", "--format", "json", ten_attr_csv])
+        containing = _calls(log, "discern.containing_sets")
+        assert len(containing) == 10
+        assert all(
+            outer == ("relations.relation_report_from_family",) for outer in containing
+        )
 
     def test_cli_binds_neither_family_function(self):
         assert not hasattr(cli, "containing_sets")

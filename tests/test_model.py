@@ -17,17 +17,15 @@ def blocks(*groups):
     return Partition(tuple(frozenset(g) for g in groups))
 
 
+def attrs(system, names):
+    return frozenset(system.attributes.index(name) for name in names)
+
+
 class TestConstruction:
     def test_from_columns_round_trip(self, triple_reduct):
         assert triple_reduct.attributes == ("a1", "a2", "a3", "a4")
         assert triple_reduct.labels == ("1", "2", "3", "4", "5")
         assert triple_reduct.rows[2] == (1, 0, 1, 0)
-
-    def test_attr_lookup(self, triple_reduct):
-        assert triple_reduct.attr_index("a3") == 2
-        assert triple_reduct.attr_subset(["a4", "a1"]) == frozenset({0, 3})
-        with pytest.raises(InputError):
-            triple_reduct.attr_index("nope")
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InputError):
@@ -66,7 +64,7 @@ class TestPartition:
             "a4": blocks({0, 1, 2, 3}, {4}),
         }
         for name, want in expected.items():
-            got = indiscernibility_partition(triple_reduct, triple_reduct.attr_subset([name]))
+            got = indiscernibility_partition(triple_reduct, attrs(triple_reduct, [name]))
             assert got == want, name
 
     def test_full_and_empty_attribute_sets(self, triple_reduct):
@@ -77,7 +75,7 @@ class TestPartition:
 
     def test_refines(self, triple_reduct):
         full = indiscernibility_partition(triple_reduct, triple_reduct.all_attrs())
-        a2 = indiscernibility_partition(triple_reduct, triple_reduct.attr_subset(["a2"]))
+        a2 = indiscernibility_partition(triple_reduct, attrs(triple_reduct, ["a2"]))
         assert refines(full, a2)
         assert not refines(a2, full)
         assert refines(a2, a2)
@@ -86,22 +84,22 @@ class TestPartition:
 class TestConsistencyAndReducts:
     def test_consistent_subsets(self, triple_reduct):
         for names in (["a1", "a2"], ["a1", "a3"], ["a2", "a3"], ["a1", "a2", "a3"]):
-            assert is_consistent(triple_reduct, triple_reduct.attr_subset(names)), names
+            assert is_consistent(triple_reduct, attrs(triple_reduct, names)), names
         for names in (["a1"], ["a2"], ["a4"], ["a1", "a4"], ["a2", "a4"]):
-            assert not is_consistent(triple_reduct, triple_reduct.attr_subset(names)), names
+            assert not is_consistent(triple_reduct, attrs(triple_reduct, names)), names
 
     def test_reducts(self, triple_reduct):
         for names in (["a1", "a2"], ["a1", "a3"], ["a2", "a3"]):
-            assert is_reduct(triple_reduct, triple_reduct.attr_subset(names)), names
-        assert not is_reduct(triple_reduct, triple_reduct.attr_subset(["a1", "a2", "a3"]))
-        assert not is_reduct(triple_reduct, triple_reduct.attr_subset(["a1", "a4"]))
+            assert is_reduct(triple_reduct, attrs(triple_reduct, names)), names
+        assert not is_reduct(triple_reduct, attrs(triple_reduct, ["a1", "a2", "a3"]))
+        assert not is_reduct(triple_reduct, attrs(triple_reduct, ["a1", "a4"]))
         assert not is_reduct(triple_reduct, triple_reduct.all_attrs())
 
     def test_unique_reduct_with_core(self, ladder_system):
         s = ladder_system
-        assert is_reduct(s, s.attr_subset(["a2", "a3"]))
-        assert not is_consistent(s, s.attr_subset(["a1", "a2"]))
-        assert not is_consistent(s, s.attr_subset(["a1", "a3"]))
+        assert is_reduct(s, attrs(s, ["a2", "a3"]))
+        assert not is_consistent(s, attrs(s, ["a1", "a2"]))
+        assert not is_consistent(s, attrs(s, ["a1", "a3"]))
 
 
 class TestLoadTable:

@@ -4,18 +4,15 @@ from hypothesis import given
 from helpers import ALL_CLAIMS, PROVEN_CLAIMS, fam, families, systems
 from reducts.characters import Character, classify_all
 from reducts.discern import discernibility_matrix, family_from_names
-from reducts.errors import InputError, ResourceLimitError
-from reducts.model import InformationSystem
+from reducts.errors import InvariantViolation, ResourceLimitError
+from reducts.model import InformationSystem, Partition
 from reducts.reducers import all_reducts_bruteforce
+from reducts import relations
 from reducts.relations import (
     _Auditor,
-    attr_equivalent,
-    attr_finer,
     audit_theorems,
     coupled,
-    equivalent_by_membership,
     excludes,
-    finer_by_membership,
     relation_report_from_family,
     relation_report_from_system,
 )
@@ -26,35 +23,43 @@ def triple_reducts(triple_reduct):
     return all_reducts_bruteforce(family, triple_reduct.all_attrs())
 
 
+def finer(report, a, b):
+    return (a, b) in report.finer_pairs
+
+
+def equivalent(report, a, b):
+    return (min(a, b), max(a, b)) in report.equivalent_pairs
+
+
 class TestFiner:
     def test_finer_example(self, triple_reduct):
-        assert attr_finer(triple_reduct, 0, 3) is True
-        assert attr_finer(triple_reduct, 1, 3) is False
-        assert attr_finer(triple_reduct, 3, 0) is False
-
-    def test_finer_is_reflexive(self, triple_reduct):
-        assert all(attr_finer(triple_reduct, a, a) for a in range(4))
-
-    def test_unknown_attribute_rejected(self, triple_reduct):
-        with pytest.raises(InputError):
-            attr_finer(triple_reduct, 0, 9)
-        with pytest.raises(InputError):
-            attr_finer(triple_reduct, -1, 0)
+        report = relation_report_from_system(triple_reduct)
+        assert finer(report, 0, 3) is True
+        assert finer(report, 1, 3) is False
+        assert finer(report, 3, 0) is False
 
     def test_membership_form_on_bare_family(self):
-        f = fam({0, 1}, {1}, {1, 2})
-        assert finer_by_membership(f, 1, 0) is True
-        assert finer_by_membership(f, 0, 1) is False
-        assert finer_by_membership(f, 1, 2) is True
+        report = relation_report_from_family(fam({0, 1}, {1}, {1, 2}))
+        assert finer(report, 1, 0) is True
+        assert finer(report, 0, 1) is False
+        assert finer(report, 1, 2) is True
 
     @given(systems())
     def test_criteria_always_agree(self, system):
-        # attr_finer raises on any split between its two criteria, so a
-        # clean sweep over all pairs is the assertion.
-        family = discernibility_matrix(system).family
-        for a in range(system.n_attributes):
-            for b in range(system.n_attributes):
-                attr_finer(system, a, b, family=family)
+        # The table survey raises on any split between its partition and
+        # membership criteria, so a clean survey is the assertion.
+        relation_report_from_system(system)
+
+    def test_refinement_split_raises(self, triple_reduct, monkeypatch):
+        # A partition test that denies every refinement splits from the
+        # membership survey on its first finer pair, (a1, a4).
+        monkeypatch.setattr(relations, "refines", lambda finer, coarser: False)
+        with pytest.raises(InvariantViolation) as err:
+            relation_report_from_system(triple_reduct)
+        assert str(err.value) == (
+            "refinement criteria disagree on (0, 3): "
+            "partition False, membership True"
+        )
 
 
 class TestEquivalent:
@@ -62,29 +67,55 @@ class TestEquivalent:
         system = InformationSystem.from_columns(
             ["p", "q", "r"], [[0, 0, 1], [0, 1, 2], [5, 5, 7]]
         )
-        assert attr_equivalent(system, 0, 2) is True
-        assert attr_equivalent(system, 0, 1) is False
+        report = relation_report_from_system(system)
+        assert equivalent(report, 0, 2) is True
+        assert equivalent(report, 0, 1) is False
 
     def test_no_equivalent_pair_in_example(self, triple_reduct):
+        report = relation_report_from_system(triple_reduct)
         for a in range(4):
             for b in range(4):
                 if a != b:
-                    assert not attr_equivalent(triple_reduct, a, b)
+                    assert not equivalent(report, a, b)
 
     def test_membership_form_on_bare_family(self):
-        f = fam({0, 1, 2}, {0, 1}, {2})
-        assert equivalent_by_membership(f, 0, 1) is True
-        assert equivalent_by_membership(f, 0, 2) is False
+        report = relation_report_from_family(fam({0, 1, 2}, {0, 1}, {2}))
+        assert equivalent(report, 0, 1) is True
+        assert equivalent(report, 0, 2) is False
 
     @given(systems())
     def test_equivalence_matches_mutual_refinement(self, system):
-        family = discernibility_matrix(system).family
+        report = relation_report_from_system(system)
         for a in range(system.n_attributes):
             for b in range(system.n_attributes):
-                both = attr_finer(system, a, b, family=family) and attr_finer(
-                    system, b, a, family=family
-                )
-                assert attr_equivalent(system, a, b, family=family) == both
+                if a != b:
+                    both = finer(report, a, b) and finer(report, b, a)
+                    assert equivalent(report, a, b) == both
+
+    def test_equivalence_split_raises(self, monkeypatch):
+        # Partitions that keep every refinement but tell the duplicate
+        # columns p and r apart split only the equivalence check.
+        system = InformationSystem.from_columns(
+            ["p", "q", "r"], [[0, 0, 1], [0, 1, 2], [5, 5, 7]]
+        )
+        built = relations._attr_partitions
+
+        class Unequal(Partition):
+            def __eq__(self, other):
+                return False
+
+        def r_split_from_p(system):
+            parts = built(system)
+            parts[2] = Unequal(parts[2].blocks)
+            return parts
+
+        monkeypatch.setattr(relations, "_attr_partitions", r_split_from_p)
+        with pytest.raises(InvariantViolation) as err:
+            relation_report_from_system(system)
+        assert str(err.value) == (
+            "equivalence criteria disagree on (0, 2): "
+            "equal partitions False, equal members True"
+        )
 
 
 class TestCoupled:

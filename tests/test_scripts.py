@@ -1,13 +1,10 @@
 """The scripts under ``scripts/`` run cleanly against the package under test."""
 
 import sys
-from pathlib import Path
 
 import pytest
 
-from helpers import run_child
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from helpers import SCRIPTS, run_child
 
 
 @pytest.mark.parametrize(
