@@ -14,7 +14,8 @@ whose output is byte for byte that of ``json.dumps(report, indent=2,
 sort_keys=True)``.  The stdlib drops to a pure-Python encoder whenever
 ``indent`` is set; the writer instead encodes every string, and joins
 every list of strings, in C, which matters for ``matrix`` and its n^2
-object pairs.
+object pairs.  A dict writes each of its values that is a list of strings
+in place, so one call writes a whole ``matrix`` pair record.
 
 Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
 violation, 3 resource cap exceeded.
@@ -164,17 +165,18 @@ def _listing(names: list[str]) -> str:
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
     system = loaded.require_system("matrix")
     dm = discernibility_matrix(system)
-    # n^2 pairs share few distinct entries: name each entry once.
-    entry_names: dict[frozenset[int], list[str]] = {}
-    pairs = []
-    for i, j, entry in dm.pairs():
-        names = entry_names.get(entry)
-        if names is None:
-            names = entry_names[entry] = loaded.set_names(entry)
-        pairs.append({"objects": [loaded.labels[i], loaded.labels[j]], "attributes": names})
+    family = loaded.family_names(dm.family)
+    # n^2 pairs share few distinct entries: name each entry once.  Every
+    # non-empty entry is a family member.
+    names = dict(zip(dm.family, family))
+    names[frozenset()] = []
+    labels = loaded.labels
     result = {
-        "pairs": pairs,
-        "family": loaded.family_names(dm.family),
+        "pairs": [
+            {"objects": [labels[i], labels[j]], "attributes": names[entry]}
+            for i, j, entry in dm.pairs()
+        ],
+        "family": family,
     }
     return result, []
 
@@ -500,7 +502,8 @@ def _dumps(obj, nl: str) -> str:
     lists and tuples, str, int, bool and None, each of exactly that type.
     Anything else raises TypeError, except that a str subclass inside a
     list or as a key passes the C encoder and comes out as the stdlib
-    writes it.  A list of strings is written with one C-level join.
+    writes it.  A list of strings is written with one C-level join, and a
+    dict's value that is a non-empty list of strings is written in place.
     """
     kind = type(obj)
     if kind is str:
@@ -518,10 +521,22 @@ def _dumps(obj, nl: str) -> str:
         if not obj:
             return "{}"
         inner = nl + "  "
-        body = ("," + inner).join(
-            [_encode_str(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)]
-        )
-        return "{" + inner + body + nl + "}"
+        item = inner + "  "
+        sep = "," + item
+        parts = []
+        # Each value's text goes straight into parts: a local still holding
+        # the largest one would keep it twice in memory through the join.
+        for key in sorted(obj):
+            value = obj[key]
+            head = _encode_str(key) + ": "
+            if type(value) is list and value:
+                try:
+                    parts.append(head + "[" + item + sep.join(map(_encode_str, value)) + inner + "]")
+                except TypeError:  # not all strings
+                    parts.append(head + _dumps(value, inner))
+            else:
+                parts.append(head + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if obj is None:
         return "null"
     if kind is bool:

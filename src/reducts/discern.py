@@ -7,16 +7,17 @@ attribute sets, and its minimal hitting sets are the reducts.  The family
 keeps first-seen member order because the reduction algorithms walk it in
 that order, while equality and hashing ignore order entirely.
 
-Identical rows give identical entries, so the family is built by
+Identical rows give identical entries, so the matrix is built by
 comparing each pair of distinct rows once.  Those rows are taken in
 first-seen order, so the members come out in the order a walk over every
-object pair finds them.
+object pair finds them.  The matrix keeps that one pass's entries, one per
+pair of distinct rows, and reads every object pair's entry off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice, repeat
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
@@ -107,27 +108,41 @@ class Absorption:
 
 @dataclass(frozen=True, eq=False)
 class DiscernibilityMatrix:
-    """A table and the family of attribute sets separating its object pairs."""
+    """A table, the family of attribute sets separating its object pairs,
+    and the entries those sets were collected from.
+
+    ``row_ids`` gives each object the index of its row among the distinct
+    rows, numbered in first-seen order.  ``cells[p][q - p - 1]`` is the
+    entry of distinct rows ``p < q``; equal entries are one shared object.
+    """
 
     system: InformationSystem
     family: SetFamily
+    row_ids: tuple[int, ...]
+    cells: tuple[tuple[AttrSet, ...], ...]
 
     def pairs(self) -> Iterator[tuple[int, int, AttrSet]]:
         """Upper-triangle entries in row-major order, empty ones included.
 
-        Each entry is compared afresh on every call; nothing per pair is stored.
+        Each object pair takes the stored entry of its two distinct rows;
+        no rows are compared.
         """
-        return _compare_pairs(self.system.rows, range(self.system.n_attributes))
+        ids, cells = self.row_ids, self.cells
+        for i, p in enumerate(ids):
+            # Row p's entry against every distinct row, indexed by row id.
+            against = [cells[q][p - q - 1] for q in range(p)]
+            against.append(frozenset())
+            against += cells[p]
+            later = map(against.__getitem__, ids[i + 1 :])
+            yield from zip(repeat(i), range(i + 1, len(ids)), later)
 
 
-def _compare_pairs(
-    rows: Sequence[Sequence[Value]], attrs: range
-) -> Iterator[tuple[int, int, AttrSet]]:
-    """Each pair ``i < j`` of ``rows`` in row-major order, with the
+def _compare_pairs(rows: Sequence[Sequence[Value]], attrs: range) -> Iterator[AttrSet]:
+    """For each pair ``i < j`` of ``rows`` in row-major order, the
     attributes whose values differ between the two rows."""
     for i, row in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            yield i, j, frozenset(compress(attrs, map(ne, row, rows[j])))
+            yield frozenset(compress(attrs, map(ne, row, rows[j])))
 
 
 def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
@@ -140,10 +155,18 @@ def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
     merged by equality, so a cell value must equal itself (a float NaN
     does not).
     """
-    rows = tuple(dict.fromkeys(system.rows))
-    attrs = range(system.n_attributes)
-    entries = dict.fromkeys(d for _, _, d in _compare_pairs(rows, attrs) if d)
-    return DiscernibilityMatrix(system, SetFamily(tuple(entries)))
+    ids = {row: p for p, row in enumerate(dict.fromkeys(system.rows))}
+    interned: dict[AttrSet, AttrSet] = {}
+    entries = iter(
+        [interned.setdefault(d, d) for d in _compare_pairs(tuple(ids), range(system.n_attributes))]
+    )
+    cells = tuple(tuple(islice(entries, len(ids) - p - 1)) for p in range(len(ids)))
+    return DiscernibilityMatrix(
+        system,
+        SetFamily(tuple(d for d in interned if d)),
+        tuple(map(ids.__getitem__, system.rows)),
+        cells,
+    )
 
 
 def containing_sets(family: SetFamily, a: int) -> SetFamily:

@@ -86,6 +86,7 @@ class TestEquivalent:
     @given(systems())
     def test_equivalence_matches_mutual_refinement(self, system):
         report = relation_report_from_system(system)
+        assert all(a < b for a, b in report.equivalent_pairs)
         for a in range(system.n_attributes):
             for b in range(system.n_attributes):
                 if a != b:
@@ -219,16 +220,6 @@ class TestRelationReport:
         assert report.exclusions == ((frozenset({1}), 0, True),)
         assert report.coupled_pairs == ()
         assert report.finer_pairs == ()
-
-    @given(systems(max_objects=6, max_attrs=4))
-    def test_equivalents_are_symmetric_finer_pairs(self, system):
-        report = relation_report_from_system(system)
-        finer = set(report.finer_pairs)
-        for a, b in report.equivalent_pairs:
-            assert (a, b) in finer and (b, a) in finer
-        for a, b in finer:
-            if (b, a) in finer:
-                assert (min(a, b), max(a, b)) in report.equivalent_pairs
 
 
 class TestAudit:
