@@ -18,12 +18,23 @@ from reducts.reducers import ReductStatus, SelectionPolicy, ea_reduce, verify_re
 from reducts.relations import audit_theorems
 
 
-def random_system(rng: random.Random, max_objects: int, max_attrs: int) -> InformationSystem:
+def random_system(
+    rng: random.Random, max_objects: int, max_attrs: int, pool: int | None = None
+) -> InformationSystem:
+    """A seeded ternary table with up to the given numbers of objects and
+    attributes.  With ``pool``, each row is drawn from ``pool`` random rows,
+    so most rows repeat."""
     n_attrs = rng.randint(1, max_attrs)
     n_objects = rng.randint(1, max_objects)
-    rows = tuple(
-        tuple(rng.randrange(3) for _ in range(n_attrs)) for _ in range(n_objects)
-    )
+
+    def row() -> tuple[int, ...]:
+        return tuple(rng.randrange(3) for _ in range(n_attrs))
+
+    if pool is None:
+        rows = tuple(row() for _ in range(n_objects))
+    else:
+        choices = [row() for _ in range(pool)]
+        rows = tuple(rng.choice(choices) for _ in range(n_objects))
     return InformationSystem(
         tuple(f"a{i + 1}" for i in range(n_attrs)),
         rows,

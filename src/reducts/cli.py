@@ -26,10 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .characters import classify_all
-from .covering import covering_from_family, minimal_description, neighborhood, singleton_equivalences
+from .covering import covering_from_family, neighborhood, singleton_equivalences
 from .discern import SetFamily, discernibility_matrix, family_from_names, reducts_by_expansion
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .model import InformationSystem, load_table, set_names
@@ -79,12 +79,15 @@ class _Loaded:
 
     A table's family is built on first use: the commands that compare the
     object pairs themselves never read it, so they make the only pass.
+    ``names_of`` holds the names of every attribute set named so far; a
+    report shares each list wherever its set recurs, so none may be changed.
     """
 
     names: tuple[str, ...]
     system: InformationSystem | None = None
     labels: tuple[str, ...] = ()
     _family: SetFamily | None = None
+    names_of: dict[frozenset[int], list[str]] = field(default_factory=dict)
 
     @property
     def family(self) -> SetFamily:
@@ -98,8 +101,11 @@ class _Loaded:
         except ValueError:
             raise InputError(f"unknown attribute {name!r}") from None
 
-    def set_names(self, attrs) -> list[str]:
-        return set_names(attrs, self.names)
+    def set_names(self, attrs: frozenset[int]) -> list[str]:
+        names = self.names_of.get(attrs)
+        if names is None:
+            names = self.names_of[attrs] = set_names(attrs, self.names)
+        return names
 
     def family_names(self, fam) -> list[list[str]]:
         return [self.set_names(m) for m in fam]
@@ -163,14 +169,10 @@ def _listing(names: list[str]) -> str:
 
 
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
-    system = loaded.require_system("matrix")
-    dm = discernibility_matrix(system)
+    dm = discernibility_matrix(loaded.require_system("matrix"))
     family = loaded.family_names(dm.family)
-    # n^2 pairs share few distinct entries: name each entry once.  Every
-    # non-empty entry is a family member.
-    names = dict(zip(dm.family, family))
-    names[frozenset()] = []
-    labels = loaded.labels
+    loaded.set_names(frozenset())  # the entry of two equal rows; the rest are members
+    names, labels = loaded.names_of, loaded.labels
     result = {
         "pairs": [
             {"objects": [labels[i], labels[j]], "attributes": names[entry]}
@@ -463,7 +465,7 @@ def _cmd_covering(loaded: _Loaded, config: RunConfig):
     for a in sorted(space.ground):
         checks = singleton_equivalences(space, a)
         per_attr[loaded.names[a]] = {
-            "minimal_description": loaded.family_names(minimal_description(space, a)),
+            "minimal_description": loaded.family_names(checks.minimal_description),
             "neighborhood": loaded.set_names(neighborhood(space, a)),
             **{check: getattr(checks, check) for check in _SINGLETON_CHECKS},
             "all_true": checks.all_true,

@@ -45,8 +45,10 @@ class CoveringSpace:
 
 @dataclass(frozen=True)
 class SingletonChecks:
-    """Four equivalent ways of saying an element forms its own cover member."""
+    """Four equivalent ways of saying an element forms its own cover member,
+    with the element's minimal description, which two of them read."""
 
+    minimal_description: SetFamily
     in_cover: bool
     minimal_is_singleton: bool
     lower_is_self: bool
@@ -101,6 +103,7 @@ def singleton_equivalences(space: CoveringSpace, x: int) -> SingletonChecks:
     md = minimal_description(space, x)
     lower = cov_lower(space, frozenset({x}))
     return SingletonChecks(
+        minimal_description=md,
         in_cover=frozenset({x}) in space.cover,
         minimal_is_singleton=md == SetFamily((frozenset({x}),)),
         lower_is_self=lower == frozenset({x}),

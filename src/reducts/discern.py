@@ -1,11 +1,12 @@
 """Discernibility matrices and ordered families of attribute sets.
 
 ``discernibility_matrix`` finds, for every pair of objects, which
-attributes tell them apart.  The deduplicated non-empty entries form a
-``SetFamily``; hitting sets of that family are exactly the consistent
-attribute sets, and its minimal hitting sets are the reducts.  The family
-keeps first-seen member order because the reduction algorithms walk it in
-that order, while equality and hashing ignore order entirely.
+attributes tell them apart.  Its non-empty entries form a ``SetFamily``,
+one dict filled in one pass, as is every family derived from one.  Hitting
+sets of that family are exactly the consistent attribute sets, and its
+minimal hitting sets are the reducts.  The family keeps first-seen member
+order because the reduction algorithms walk it in that order, while
+equality and hashing ignore order entirely.
 
 Identical rows give identical entries, so the matrix is built by
 comparing each pair of distinct rows once.  Those rows are taken in
@@ -44,9 +45,8 @@ def canonical_key(s: AttrSet) -> tuple[int, tuple[int, ...]]:
     return (len(s), tuple(sorted(s)))
 
 
-@dataclass(frozen=True, eq=False)
 class SetFamily:
-    """A duplicate-free sequence of non-empty attribute sets.
+    """A duplicate-free sequence of non-empty attribute sets, one dict's keys.
 
     Member order is first appearance and is preserved by every derived
     subfamily, since the row-wise reducer is sensitive to it.  Two families
@@ -54,44 +54,41 @@ class SetFamily:
     ``canonical`` when a display order independent of history is wanted.
     """
 
-    members: tuple[AttrSet, ...]
+    def __init__(self, members: Iterable[Iterable[int]]) -> None:
+        self._index = dict.fromkeys(map(frozenset, members))
+        if frozenset() in self._index:
+            raise InputError("empty member in set family")
 
-    def __post_init__(self) -> None:
-        deduped: list[AttrSet] = []
-        seen: set[AttrSet] = set()
-        for member in self.members:
-            member = frozenset(member)
-            if not member:
-                raise InputError("empty member in set family")
-            if member not in seen:
-                seen.add(member)
-                deduped.append(member)
-        object.__setattr__(self, "members", tuple(deduped))
-        object.__setattr__(self, "_member_set", frozenset(deduped))
+    @property
+    def members(self) -> tuple[AttrSet, ...]:
+        return tuple(self._index)
+
+    def __repr__(self) -> str:
+        return f"SetFamily({self.members!r})"
 
     def __iter__(self) -> Iterator[AttrSet]:
-        return iter(self.members)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._index)
 
     def __contains__(self, s: Iterable[int]) -> bool:
-        return frozenset(s) in self._member_set  # type: ignore[attr-defined]
+        return frozenset(s) in self._index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self._member_set == other._member_set  # type: ignore[attr-defined]
+        return self._index.keys() == other._index.keys()
 
     def __hash__(self) -> int:
-        return hash(self._member_set)  # type: ignore[attr-defined]
+        return hash(frozenset(self._index))
 
     @property
     def canonical(self) -> tuple[AttrSet, ...]:
-        return tuple(sorted(self.members, key=canonical_key))
+        return tuple(sorted(self._index, key=canonical_key))
 
     def universe(self) -> AttrSet:
-        return frozenset().union(*self.members) if self.members else frozenset()
+        return frozenset().union(*self._index)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
     cells = tuple(tuple(islice(entries, len(ids) - p - 1)) for p in range(len(ids)))
     return DiscernibilityMatrix(
         system,
-        SetFamily(tuple(d for d in interned if d)),
+        SetFamily(d for d in interned if d),
         tuple(map(ids.__getitem__, system.rows)),
         cells,
     )
@@ -171,7 +168,7 @@ def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
 
 def containing_sets(family: SetFamily, a: int) -> SetFamily:
     """Subfamily of members that contain ``a``, in stored order."""
-    return SetFamily(tuple(m for m in family if a in m))
+    return SetFamily(m for m in family if a in m)
 
 
 def substitute_sets(family: SetFamily, a: int) -> SetFamily:
@@ -180,8 +177,8 @@ def substitute_sets(family: SetFamily, a: int) -> SetFamily:
     Hitting every such member forces a hit on every member containing ``a``
     once ``a`` itself is dropped, which is what makes ``a`` replaceable.
     """
-    pool = containing_sets(family, a).universe()
-    return SetFamily(tuple(m for m in family if a not in m and m <= pool))
+    pool = frozenset().union(*(m for m in family if a in m))
+    return SetFamily(m for m in family if a not in m and m <= pool)
 
 
 def _minimal(sets: Iterable[AttrSet]) -> list[AttrSet]:
@@ -204,7 +201,7 @@ def absorb(family: SetFamily) -> Absorption:
     """
     keep = set(_minimal(family))
     return Absorption(
-        SetFamily(tuple(m for m in family if m in keep)),
+        SetFamily(m for m in family if m in keep),
         tuple(m for m in family if m not in keep),
     )
 
@@ -252,5 +249,4 @@ def family_from_names(
         as_sets.append(frozenset(row))
     ordered_names = tuple(sorted(frozenset().union(*as_sets))) if as_sets else ()
     index = {name: i for i, name in enumerate(ordered_names)}
-    members = tuple(frozenset(index[n] for n in s) for s in as_sets)
-    return SetFamily(members), ordered_names
+    return SetFamily(frozenset(index[n] for n in s) for s in as_sets), ordered_names

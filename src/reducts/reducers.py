@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection
 
 from .discern import (
     SetFamily,
@@ -49,7 +50,7 @@ class SelectionPolicy(Enum):
     MAX_FREQUENCY = "freq"
 
 
-def _select(policy: SelectionPolicy, candidates: AttrSet, context: list[AttrSet]) -> int:
+def _select(policy: SelectionPolicy, candidates: AttrSet, context: Collection[AttrSet]) -> int:
     if not candidates:
         raise InvariantViolation("attribute selection from an empty candidate set")
     if policy is SelectionPolicy.FIRST:
@@ -177,7 +178,7 @@ def yao_row_wise(
     absorbed entry guarantees the subtraction never empties anything.
     The union of the chosen attributes is a minimal hitting set.
     """
-    entries: list[AttrSet] = list(family.members)
+    entries: list[AttrSet] = list(family)
     resolved = [False] * len(entries)
     chosen_attrs: set[int] = set()
     steps: list[RowwiseStep] = []
@@ -238,7 +239,7 @@ def ea_reduce(
 
     while len(current):
         first_member = current.canonical[0]
-        a = _select(policy, first_member, list(current.members))
+        a = _select(policy, first_member, current)
         containing = containing_sets(current, a)
         substitutes = substitute_sets(current, a)
         inner = yao_row_wise(substitutes, policy)[0]
@@ -247,9 +248,7 @@ def ea_reduce(
         if blocked is not None:
             result.add(a)
         spanned = containing.universe()
-        current = SetFamily(
-            tuple(m - spanned for m in current if m - spanned)
-        )
+        current = SetFamily(filter(None, (m - spanned for m in current)))
         steps.append(
             SubstituteStep(
                 chosen=a,

@@ -502,7 +502,7 @@ class TestOneProducer:
     """``classify_all`` absorbs the family once and derives each attribute's
     containing and substitute sets once; the commands read its evidence.
     ``relations`` derives each attribute's containing sets once, in its
-    survey."""
+    survey, and ``covering`` each attribute's minimal description once."""
 
     WATCHED = (
         "discern.absorb",
@@ -510,6 +510,7 @@ class TestOneProducer:
         "discern.substitute_sets",
         "characters.classify_all",
         "relations.relation_report_from_family",
+        "covering.minimal_description",
     )
 
     def test_classify_derives_each_family_once(self, capsys, monkeypatch, ten_attr_csv):
@@ -519,8 +520,8 @@ class TestOneProducer:
         assert len(_calls(log, "discern.absorb")) == 1
         assert len(_calls(log, "discern.substitute_sets")) == 10
         containing = _calls(log, "discern.containing_sets")
-        assert len(containing) == 20
-        assert len(_calls(log, "discern.containing_sets", under="discern.substitute_sets")) == 10
+        assert len(containing) == 10
+        assert not _calls(log, "discern.containing_sets", under="discern.substitute_sets")
         assert all("characters.classify_all" in outer for outer in containing)
 
     def test_audit_reads_the_classifier_families(self, capsys, monkeypatch, ten_attr_csv):
@@ -532,9 +533,17 @@ class TestOneProducer:
         assert len(substitutes) == 10
         assert all("characters.classify_all" in outer for outer in substitutes)
         containing = _calls(log, "discern.containing_sets")
-        assert len(containing) == 20
-        assert len(_calls(log, "discern.containing_sets", under="discern.substitute_sets")) == 10
+        assert len(containing) == 10
+        assert not _calls(log, "discern.containing_sets", under="discern.substitute_sets")
         assert all("characters.classify_all" in outer for outer in containing)
+
+    def test_covering_describes_each_attribute_once(self, capsys, monkeypatch, ten_attr_csv):
+        log = _watch(monkeypatch, *self.WATCHED)
+        report = run_json(capsys, ["covering", "--format", "json", ten_attr_csv])
+        covered = len(report["result"]["elements"])
+        assert covered > 0
+        assert len(_calls(log, "covering.minimal_description")) == covered
+        assert len(_calls(log, "discern.absorb")) == covered
 
     def test_relations_builds_each_membership_family_once(
         self, capsys, monkeypatch, ten_attr_csv
@@ -555,6 +564,19 @@ class TestOneProducer:
         log = _watch(monkeypatch, "model.indiscernibility_partition")
         run_json(capsys, ["relations", "--format", "json", ten_attr_csv])
         assert len(_calls(log, "model.indiscernibility_partition")) == 10
+
+    @pytest.mark.parametrize("command", ["classify", "covering", "matrix"])
+    def test_each_attribute_set_is_named_once(self, capsys, monkeypatch, ten_attr_csv, command):
+        named: list[frozenset[int]] = []
+
+        def counting(attrs, names, _set_names=cli.set_names):
+            named.append(frozenset(attrs))
+            return _set_names(attrs, names)
+
+        monkeypatch.setattr(cli, "set_names", counting)
+        run_json(capsys, [command, "--format", "json", ten_attr_csv])
+        assert named
+        assert len(named) == len(set(named))
 
 
 class TestRunApi:

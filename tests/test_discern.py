@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,36 @@ class TestSetFamily:
         assert {0} not in f
         assert f.universe() == frozenset({0, 1, 2})
         assert fam().universe() == frozenset()
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), max_size=4) | st.frozensets(st.integers(0, 4), max_size=4),
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    def test_matches_a_first_seen_reference(self, raw, one_shot):
+        first_seen: list[frozenset[int]] = []
+        for member in raw:
+            if frozenset(member) not in first_seen:
+                first_seen.append(frozenset(member))
+        source = iter(raw) if one_shot else raw
+        if frozenset() in first_seen:
+            with pytest.raises(InputError):
+                SetFamily(source)
+            return
+        f = SetFamily(source)
+        assert f.members == tuple(first_seen)
+        assert list(f) == first_seen
+        assert len(f) == len(first_seen)
+        for size in range(6):
+            for k in combinations(range(5), size):
+                assert (k in f) == (frozenset(k) in first_seen)
+        backwards = SetFamily(reversed(first_seen))
+        assert f == backwards
+        assert hash(f) == hash(backwards)
+        if first_seen:
+            assert f != SetFamily(first_seen[1:])
 
     def test_canonical_key(self):
         assert canonical_key(frozenset({2, 0})) == (2, (0, 2))
