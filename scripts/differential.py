@@ -6,9 +6,14 @@ from ``measure_claims.random_system`` (every other one drawn from a pool
 of a few rows, so most rows repeat), single-object and all-identical
 tables, tables with a label column and non-ASCII names for ``--id-col``,
 random family files (a few malformed), and the inputs under
-``tests/golden/``.  Each input runs every variant in text and in JSON;
-each case calls ``reducts.cli.main`` in process and records its exit
-code, stdout and stderr.
+``tests/golden/``.  Each input runs every variant in text and in JSON.
+It also holds one table of each shape the benchmark (``perfbench/``)
+runs, each with the variants the benchmark runs on that shape: 150x10
+ternary with rows two or more attributes apart (and a 7-attribute one for
+``relations`` and ``audit``), 500x8 binary, and 200x8 binary for
+``matrix``.  The plain random tables and the benchmark shapes come once
+more with their columns shuffled.  Each case calls ``reducts.cli.main``
+in process and records its exit code, stdout and stderr.
 
 Without ``--against``, the corpus runs in this process on this
 checkout's ``src``, and the script exits 1 if any case raised or failed
@@ -60,6 +65,15 @@ VARIANTS = (
     ["covering"],
 )
 
+# The benchmark's table shapes, as (objects, attributes, symbols, rows two
+# or more attributes apart, the variants the benchmark runs on it).
+BENCH_SHAPES = (
+    (150, 10, 3, True, [v for v in VARIANTS if v[0] != "audit"]),
+    (150, 7, 3, True, [v for v in VARIANTS if v[0] in ("relations", "audit")]),
+    (500, 8, 2, False, [v for v in VARIANTS if v[0] != "matrix"]),
+    (200, 8, 2, False, [["matrix"]]),
+)
+
 LABEL_PREFIXES = ("é", "объект", 'q"', "日本", "a,b")
 NAME_POOL = ("a", "b", "c", "d", "é", "жук", "名")
 
@@ -85,6 +99,18 @@ def _write_table(path: Path, system, *, labelled: bool) -> None:
             writer.writerows(system.rows)
 
 
+def _shuffled(system, rng: random.Random):
+    """``system`` with its columns, names included, in a random order."""
+    from reducts.model import InformationSystem
+
+    order = rng.sample(range(system.n_attributes), system.n_attributes)
+    return InformationSystem(
+        tuple(system.attributes[a] for a in order),
+        tuple(tuple(row[a] for a in order) for row in system.rows),
+        system.labels,
+    )
+
+
 def _random_family(rng: random.Random) -> list:
     names = NAME_POOL[: rng.randint(1, len(NAME_POOL))]
     rows: list = [
@@ -103,7 +129,10 @@ def write_corpus(directory: Path, seed: int, tables: int) -> list[list[str]]:
     from measure_claims import random_system
 
     rng = random.Random(seed)
-    inputs: list[tuple[Path, list[str]]] = []
+    # Shuffles and benchmark shapes draw from a stream of their own, so the
+    # small tables for a seed do not depend on them.
+    extra_rng = random.Random(f"extra:{seed}")
+    inputs: list[tuple[Path, list[str], list[list[str]]]] = []
     for k in range(tables):
         kind = ("plain", "pooled", "single", "identical", "labelled")[k % 5]
         if kind == "single":
@@ -115,20 +144,30 @@ def write_corpus(directory: Path, seed: int, tables: int) -> list[list[str]]:
             system = random_system(rng, 10, 6, pool=pool)
         table = directory / f"t{k}_{kind}.csv"
         _write_table(table, system, labelled=kind == "labelled")
-        inputs.append((table, ["--id-col"] if kind == "labelled" else []))
+        inputs.append((table, ["--id-col"] if kind == "labelled" else [], VARIANTS))
         family = directory / f"f{k}.json"
         family.write_text(json.dumps(_random_family(rng), ensure_ascii=False), encoding="utf-8")
-        inputs.append((family, []))
+        inputs.append((family, [], VARIANTS))
+        if kind == "plain":
+            shuffled = directory / f"t{k}_shuffled.csv"
+            _write_table(shuffled, _shuffled(system, extra_rng), labelled=False)
+            inputs.append((shuffled, [], VARIANTS))
+    for n, m, symbols, apart, variants in BENCH_SHAPES:
+        system = random_system(extra_rng, n, m, exact=True, symbols=symbols, apart=apart)
+        for name, shaped in (("", system), ("_shuffled", _shuffled(system, extra_rng))):
+            table = directory / f"bench_{n}x{m}{name}.csv"
+            _write_table(table, shaped, labelled=False)
+            inputs.append((table, [], variants))
     for source in sorted(GOLDEN.glob("*.*")):
         copy = directory / f"golden_{source.name}"
         shutil.copyfile(source, copy)
-        inputs.append((copy, []))
+        inputs.append((copy, [], VARIANTS))
         if copy.suffix == ".csv":
-            inputs.append((copy, ["--id-col"]))
+            inputs.append((copy, ["--id-col"], VARIANTS))
     return [
         [*variant, *extra, "--format", fmt, str(path)]
-        for path, extra in inputs
-        for variant in VARIANTS
+        for path, extra, variants in inputs
+        for variant in variants
         for fmt in ("text", "json")
     ]
 

@@ -19,22 +19,43 @@ from reducts.relations import audit_theorems
 
 
 def random_system(
-    rng: random.Random, max_objects: int, max_attrs: int, pool: int | None = None
+    rng: random.Random,
+    max_objects: int,
+    max_attrs: int,
+    pool: int | None = None,
+    *,
+    exact: bool = False,
+    symbols: int = 3,
+    apart: bool = False,
 ) -> InformationSystem:
-    """A seeded ternary table with up to the given numbers of objects and
-    attributes.  With ``pool``, each row is drawn from ``pool`` random rows,
-    so most rows repeat."""
-    n_attrs = rng.randint(1, max_attrs)
-    n_objects = rng.randint(1, max_objects)
+    """A seeded table over ``symbols`` values (ternary by default) with up
+    to the given numbers of objects and attributes, or exactly those with
+    ``exact``.  With ``pool``, each row is drawn from ``pool`` random rows,
+    so most rows repeat.  With ``apart``, a row is drawn again until it
+    differs from every earlier row in two attributes or more."""
+    n_attrs = max_attrs if exact else rng.randint(1, max_attrs)
+    n_objects = max_objects if exact else rng.randint(1, max_objects)
 
     def row() -> tuple[int, ...]:
-        return tuple(rng.randrange(3) for _ in range(n_attrs))
+        return tuple(rng.randrange(symbols) for _ in range(n_attrs))
 
-    if pool is None:
-        rows = tuple(row() for _ in range(n_objects))
-    else:
+    if pool is not None:
         choices = [row() for _ in range(pool)]
         rows = tuple(rng.choice(choices) for _ in range(n_objects))
+    elif not apart:
+        rows = tuple(row() for _ in range(n_objects))
+    else:
+        # A row one attribute away from an earlier row leaves, with that
+        # attribute deleted, the same rest as it.
+        kept: list[tuple[int, ...]] = []
+        near: set[tuple[int, tuple[int, ...]]] = set()
+        while len(kept) < n_objects:
+            drawn = row()
+            rests = [(a, drawn[:a] + drawn[a + 1 :]) for a in range(n_attrs)]
+            if near.isdisjoint(rests):
+                near.update(rests)
+                kept.append(drawn)
+        rows = tuple(kept)
     return InformationSystem(
         tuple(f"a{i + 1}" for i in range(n_attrs)),
         rows,

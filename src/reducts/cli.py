@@ -9,13 +9,18 @@ json prints it as a canonical JSON document that re-serializes
 byte-identically, and the plain-text report is rendered from that same
 object, so the two formats cannot disagree.
 
-The JSON document is written by this module's own writer, ``_dumps``,
+The JSON document is written by this module's own writer, ``_dump``,
 whose output is byte for byte that of ``json.dumps(report, indent=2,
 sort_keys=True)``.  The stdlib drops to a pure-Python encoder whenever
 ``indent`` is set; the writer instead encodes every string, and joins
-every list of strings, in C, which matters for ``matrix`` and its n^2
-object pairs.  A dict writes each of its values that is a list of strings
-in place, so one call writes a whole ``matrix`` pair record.
+every list of strings, in C, and appends the pieces to one list that
+``run`` joins once.  ``matrix`` and its n^2 object pairs are streamed:
+the pairs stay a ``_PairRecords`` that reads each entry off the matrix's
+stored cells, and the writer encodes each distinct entry and each label
+once and sends each pair's record to the output as a string of its own.
+No string of the whole ``matrix`` document, and no dict per pair, is
+built.  A table over the object cap (``--max-objects``) is refused before
+any of its rows is compared.
 
 Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
 violation, 3 resource cap exceeded.
@@ -27,9 +32,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterator
 
 from .characters import classify_all
-from .covering import covering_from_family, neighborhood, singleton_equivalences
+from .covering import covering_from_family, singleton_equivalences
 from .discern import SetFamily, discernibility_matrix, family_from_names, reducts_by_expansion
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .model import InformationSystem, load_table, set_names
@@ -48,6 +55,7 @@ __all__ = ["RunConfig", "run", "main"]
 
 ORACLE_CAP = 20
 AUDIT_CAP = 10
+OBJECT_CAP = 5000
 
 
 @dataclass
@@ -62,6 +70,7 @@ class RunConfig:
     minimize: bool = True
     verbose: bool = False
     max_attrs: int | None = None
+    max_objects: int | None = None
     fmt: str = "text"
     id_col: bool = False
     exclusion_queries: tuple[tuple[tuple[str, ...], str], ...] = ()
@@ -71,6 +80,8 @@ class RunConfig:
             raise InputError(f"unknown input kind {self.kind!r}")
         if self.max_attrs is not None and self.max_attrs < 1:
             raise InputError("--max-attrs must be at least 1")
+        if self.max_objects is not None and self.max_objects < 1:
+            raise InputError("--max-objects must be at least 1")
 
 
 @dataclass
@@ -116,7 +127,9 @@ class _Loaded:
         return self.system
 
 
-def _load(config: RunConfig) -> _Loaded:
+def _load(config: RunConfig) -> tuple[_Loaded, list[str]]:
+    """The parsed input, and the warnings its caps raise.  A table over the
+    object cap is refused before any pair of its rows is compared."""
     try:
         with open(config.path, encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -129,7 +142,15 @@ def _load(config: RunConfig) -> _Loaded:
             system = load_table(text, id_col=config.id_col)
         except InputError as err:
             raise InputError(f"{config.path}: {err}") from None
-        return _Loaded(system.attributes, system, system.labels)
+        cap, warnings = _cap_warning(
+            "--max-objects", config.max_objects, OBJECT_CAP,
+            "object pairs grow with the square of the object count",
+        )
+        if len(system.rows) > cap:
+            raise ResourceLimitError(
+                f"{config.path}: table has {len(system.rows)} objects, cap is {cap}"
+            )
+        return _Loaded(system.attributes, system, system.labels), warnings
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as err:
@@ -144,7 +165,7 @@ def _load(config: RunConfig) -> _Loaded:
         family, names = family_from_names(rows)
     except InputError as err:
         raise InputError(f"{config.path}: {err}") from None
-    return _Loaded(names, _family=family)
+    return _Loaded(names, _family=family), []
 
 
 def _universe(loaded: _Loaded) -> frozenset[int]:
@@ -168,30 +189,44 @@ def _listing(names: list[str]) -> str:
     return ", ".join(names) or "(none)"
 
 
+@dataclass(frozen=True)
+class _PairRecords:
+    """The ``matrix`` pairs, read once, in row-major order.
+
+    They stand for the list of records ``{"attributes": names, "objects":
+    [label_i, label_j]}``, one per object pair ``i < j``, which is how the
+    JSON writer writes them.  ``rows`` yields, for each object in order, the
+    entries of its pairs with every later object, read off the matrix's
+    stored cells, and ``names`` maps each entry to its names; nothing per
+    pair is built.
+    """
+
+    labels: tuple[str, ...]
+    names: dict[frozenset[int], list[str]]
+    rows: Iterator[Iterator[frozenset[int]]]
+
+
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
     dm = discernibility_matrix(loaded.require_system("matrix"))
     family = loaded.family_names(dm.family)
-    loaded.set_names(frozenset())  # the entry of two equal rows; the rest are members
-    names, labels = loaded.names_of, loaded.labels
+    # The empty entry is that of two equal rows; every other is a member.
+    names = {entry: loaded.set_names(entry) for entry in (frozenset(), *dm.family)}
     result = {
-        "pairs": [
-            {"objects": [labels[i], labels[j]], "attributes": names[entry]}
-            for i, j, entry in dm.pairs()
-        ],
+        "pairs": _PairRecords(loaded.labels, names, dm.entry_rows()),
         "family": family,
     }
     return result, []
 
 
 def _text_matrix(loaded: _Loaded, result: dict) -> list[str]:
-    n = len(loaded.labels)
-    lines = [f"discernibility matrix: {n} objects, {len(loaded.names)} attributes"]
-    if result["pairs"]:
-        cells = iter(result["pairs"])  # upper triangle, row-major
-        grid = [[""] + list(loaded.labels[1:])]
-        for i in range(n - 1):
-            row = [", ".join(next(cells)["attributes"]) or "-" for _ in range(i + 1, n)]
-            grid.append([loaded.labels[i]] + [""] * i + row)
+    labels = loaded.labels
+    lines = [f"discernibility matrix: {len(labels)} objects, {len(loaded.names)} attributes"]
+    if len(labels) > 1:
+        records = result["pairs"]
+        cell = {entry: ", ".join(names) or "-" for entry, names in records.names.items()}
+        grid = [[""] + list(labels[1:])]
+        for i, row in zip(range(len(labels) - 1), records.rows):
+            grid.append([labels[i]] + [""] * i + list(map(cell.__getitem__, row)))
         lines += _pad(grid)
     lines.append(f"family: {_members(result['family'])}")
     return lines
@@ -330,19 +365,22 @@ def _text_reduct(loaded: _Loaded, result: dict) -> list[str]:
     return lines
 
 
-def _cap_warning(config: RunConfig, default: int) -> tuple[int, list[str]]:
-    cap = config.max_attrs if config.max_attrs is not None else default
+def _cap_warning(
+    flag: str, value: int | None, default: int, growth: str
+) -> tuple[int, list[str]]:
+    """The cap ``flag`` sets (``default`` when unset), and the warning a
+    cap raised above its default gets: ``growth`` says what grows with it."""
+    cap = value if value is not None else default
     warnings = []
     if cap > default:
-        warnings.append(
-            f"--max-attrs {cap} is above the default {default}; "
-            f"both enumerations grow exponentially"
-        )
+        warnings.append(f"{flag} {cap} is above the default {default}; {growth}")
     return cap, warnings
 
 
 def _cmd_all_reducts(loaded: _Loaded, config: RunConfig):
-    cap, warnings = _cap_warning(config, ORACLE_CAP)
+    cap, warnings = _cap_warning(
+        "--max-attrs", config.max_attrs, ORACLE_CAP, "both enumerations grow exponentially"
+    )
     reducts = all_reducts_bruteforce(loaded.family, _universe(loaded), cap=cap)
     expanded = reducts_by_expansion(loaded.family, cap=cap)
     if set(reducts) != set(expanded):
@@ -406,7 +444,9 @@ def _text_relations(loaded: _Loaded, result: dict) -> list[str]:
 
 def _cmd_audit(loaded: _Loaded, config: RunConfig):
     system = loaded.require_system("audit")
-    cap, warnings = _cap_warning(config, AUDIT_CAP)
+    cap, warnings = _cap_warning(
+        "--max-attrs", config.max_attrs, AUDIT_CAP, "both enumerations grow exponentially"
+    )
     report = audit_theorems(system, max_attrs=cap)
     claims = {
         claim: [
@@ -464,9 +504,12 @@ def _cmd_covering(loaded: _Loaded, config: RunConfig):
     per_attr = {}
     for a in sorted(space.ground):
         checks = singleton_equivalences(space, a)
+        # Every member containing a holds a minimal one, so the minimal
+        # members meet in the neighborhood, the meet of all of them.
+        nbhd = frozenset.intersection(*checks.minimal_description)
         per_attr[loaded.names[a]] = {
             "minimal_description": loaded.family_names(checks.minimal_description),
-            "neighborhood": loaded.set_names(neighborhood(space, a)),
+            "neighborhood": loaded.set_names(nbhd),
             **{check: getattr(checks, check) for check in _SINGLETON_CHECKS},
             "all_true": checks.all_true,
         }
@@ -496,56 +539,112 @@ def _text_covering(loaded: _Loaded, result: dict) -> list[str]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, nl: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` prints it.
+def _dump(obj, nl: str, parts: list[str], out) -> None:
+    """Append ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    prints it to ``parts``.
 
     ``nl`` is a newline followed by the indentation of ``obj``'s own line.
     Only the shapes the builders emit are known: dicts with str keys,
-    lists and tuples, str, int, bool and None, each of exactly that type.
-    Anything else raises TypeError, except that a str subclass inside a
-    list or as a key passes the C encoder and comes out as the stdlib
-    writes it.  A list of strings is written with one C-level join, and a
-    dict's value that is a non-empty list of strings is written in place.
+    lists and tuples, str, int, bool and None, each of exactly that type,
+    and ``_PairRecords``.  Anything else raises TypeError, except that a
+    str subclass inside a list or as a key passes the C encoder and comes
+    out as the stdlib writes it.  A list of strings is written with one
+    C-level join, and a dict's value that is a non-empty list of strings is
+    written in place.  ``_PairRecords`` alone is streamed: ``parts`` so far
+    goes to ``out`` as one string with the first pair's record, then every
+    later record as a string of its own, and ``parts`` goes on from the
+    list's close.
     """
     kind = type(obj)
     if kind is str:
-        return _encode_str(obj)
-    if kind is list or kind is tuple:
+        parts.append(_encode_str(obj))
+    elif kind is list or kind is tuple:
         if not obj:
-            return "[]"
+            parts.append("[]")
+            return
         inner = nl + "  "
         try:
-            body = ("," + inner).join(map(_encode_str, obj))
+            parts.append("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
         except TypeError:  # not all strings
-            body = ("," + inner).join([_dumps(item, inner) for item in obj])
-        return "[" + inner + body + nl + "]"
-    if kind is dict:
+            parts.append("[" + inner)
+            for k, item in enumerate(obj):
+                if k:
+                    parts.append("," + inner)
+                _dump(item, inner, parts, out)
+            parts.append(nl + "]")
+    elif kind is dict:
         if not obj:
-            return "{}"
+            parts.append("{}")
+            return
         inner = nl + "  "
         item = inner + "  "
         sep = "," + item
-        parts = []
-        # Each value's text goes straight into parts: a local still holding
-        # the largest one would keep it twice in memory through the join.
+        opener = "{" + inner
         for key in sorted(obj):
             value = obj[key]
-            head = _encode_str(key) + ": "
+            head = opener + _encode_str(key) + ": "
+            opener = "," + inner
             if type(value) is list and value:
                 try:
                     parts.append(head + "[" + item + sep.join(map(_encode_str, value)) + inner + "]")
+                    continue
                 except TypeError:  # not all strings
-                    parts.append(head + _dumps(value, inner))
-            else:
-                parts.append(head + _dumps(value, inner))
-        return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return int.__repr__(obj)
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
+                    pass
+            parts.append(head)
+            _dump(value, inner, parts, out)
+        parts.append(nl + "}")
+    elif obj is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is _PairRecords:
+        _dump_pairs(obj, nl, parts, out)
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _dump_pairs(records: _PairRecords, nl: str, parts: list[str], out) -> None:
+    """``_dump`` for the ``matrix`` pairs, one write per pair record.
+
+    Each entry's attribute list and each label is encoded once, at its
+    final indentation, so a record costs one join of three strings.  A
+    record is a short string, so streaming makes no allocation that grows
+    with the table.  (Batched by object row, tens of kB at a time, the
+    pieces left holes of varying size in the C heap, and the peak memory
+    of a process collecting many matrices in an ``io.StringIO`` varied
+    from run to run by about one document.)
+    """
+    labels = [_encode_str(label) for label in records.labels]
+    if len(labels) < 2:
+        parts.append("[]")
+        return
+    record = nl + "  "  # each record's line
+    key = record + "  "  # its keys
+    item = key + "  "  # the items of its two lists
+    head = {  # a record's text up to its first label
+        entry: '"attributes": '
+        + ("[" + item + ("," + item).join(map(_encode_str, names)) + key + "]" if names else "[]")
+        + "," + key + '"objects": [' + item
+        for entry, names in records.names.items()
+    }
+    # The list opens with the first pair's record; every later record
+    # opens by closing the one before.
+    reopen = key + "]" + record + "}," + record + "{" + key
+    after = {entry: reopen + text for entry, text in head.items()}
+    rows = zip(range(len(labels) - 1), records.rows)
+    _, row = next(rows)
+    first = labels[0] + "," + item
+    parts.append("[" + record + "{" + key + head[next(row)] + first + labels[1])
+    out.write("".join(parts))
+    parts.clear()
+    out.writelines(map("".join, zip(map(after.__getitem__, row), repeat(first), labels[2:])))
+    for i, row in rows:
+        first = labels[i] + "," + item
+        texts = map("".join, zip(map(after.__getitem__, row), repeat(first), labels[i + 1 :]))
+        out.writelines(texts)
+    parts.append(key + "]" + record + "}" + nl + "]")
 
 
 # Each subcommand: a builder returning (result, warnings) and a renderer
@@ -562,11 +661,13 @@ _COMMANDS = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute one subcommand and write its report to ``out``."""
+    """Execute one subcommand and write its report to the text stream
+    ``out`` (its ``write`` and ``writelines``)."""
     out = out if out is not None else sys.stdout
-    loaded = _load(config)
+    loaded, warnings = _load(config)
     build, render = _COMMANDS[config.command]
-    result, warnings = build(loaded, config)
+    result, command_warnings = build(loaded, config)
+    warnings += command_warnings
     if config.fmt == "json":
         report = {
             "command": config.command,
@@ -575,8 +676,10 @@ def run(config: RunConfig, out=None) -> int:
             "result": result,
             "warnings": warnings,
         }
-        out.write(_dumps(report, "\n"))
-        out.write("\n")
+        parts: list[str] = []
+        _dump(report, "\n", parts, out)
+        parts.append("\n")
+        out.write("".join(parts))
     else:
         for line in render(loaded, result):
             out.write(line + "\n")
@@ -607,6 +710,11 @@ def _build_parser() -> _Parser:
         "--id-col",
         action="store_true",
         help="treat the first CSV column as object labels",
+    )
+    common.add_argument(
+        "--max-objects",
+        type=int,
+        help=f"object cap for table input (default: {OBJECT_CAP})",
     )
     common.add_argument(
         "--kind",
@@ -714,6 +822,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         minimize=not getattr(args, "no_minimize", False),
         verbose=getattr(args, "verbose", False),
         max_attrs=getattr(args, "max_attrs", None),
+        max_objects=args.max_objects,
         fmt=args.fmt,
         id_col=args.id_col,
         exclusion_queries=queries,

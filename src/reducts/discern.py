@@ -12,13 +12,14 @@ Identical rows give identical entries, so the matrix is built by
 comparing each pair of distinct rows once.  Those rows are taken in
 first-seen order, so the members come out in the order a walk over every
 object pair finds them.  The matrix keeps that one pass's entries, one per
-pair of distinct rows, and reads every object pair's entry off them.
+pair of distinct rows, and reads every object pair's entry off them one
+object row at a time, so nothing per object pair is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
@@ -118,11 +119,12 @@ class DiscernibilityMatrix:
     row_ids: tuple[int, ...]
     cells: tuple[tuple[AttrSet, ...], ...]
 
-    def pairs(self) -> Iterator[tuple[int, int, AttrSet]]:
-        """Upper-triangle entries in row-major order, empty ones included.
+    def entry_rows(self) -> Iterator[Iterator[AttrSet]]:
+        """For each object ``i`` in order, the entries of the pairs
+        ``(i, j)``, ``j > i``, in order of ``j``; the last object's is empty.
 
         Each object pair takes the stored entry of its two distinct rows;
-        no rows are compared.
+        no rows are compared, and nothing per pair is kept.
         """
         ids, cells = self.row_ids, self.cells
         for i, p in enumerate(ids):
@@ -130,8 +132,13 @@ class DiscernibilityMatrix:
             against = [cells[q][p - q - 1] for q in range(p)]
             against.append(frozenset())
             against += cells[p]
-            later = map(against.__getitem__, ids[i + 1 :])
-            yield from zip(repeat(i), range(i + 1, len(ids)), later)
+            yield map(against.__getitem__, ids[i + 1 :])
+
+    def pairs(self) -> Iterator[tuple[int, int, AttrSet]]:
+        """Upper-triangle entries ``(i, j, entry)`` in row-major order, empty
+        ones included: ``entry_rows`` with each entry's object pair."""
+        for i, row in enumerate(self.entry_rows()):
+            yield from zip(repeat(i), count(i + 1), row)
 
 
 def _compare_pairs(rows: Sequence[Sequence[Value]], attrs: range) -> Iterator[AttrSet]:

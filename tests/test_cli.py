@@ -1,10 +1,12 @@
 import contextlib
+import csv
 import importlib
 import io
 import json
 import random
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,28 @@ from reducts.reducers import ReductStatus
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 TRIPLE_CSV = "a1,a2,a3,a4\n0,0,0,0\n0,0,0,0\n1,0,1,0\n1,1,0,0\n2,1,1,1\n"
+
+
+_MATRIX_NAMES = ("a1", "a2", "é", "жук", "名")
+# load_table strips cells, so labels carry no outer whitespace.
+_LABELS = st.text(
+    st.sampled_from(["x", "7", "é", "日", '"', ",", "\\", "'"]), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _matrix_tables(draw):
+    """Attribute names, rows and (for --id-col) labels of a small table:
+    rows drawn from a pool of one to four, so single-object, all-identical
+    and repeated rows in any order all come up."""
+    m = draw(st.integers(1, 4))
+    names = draw(st.permutations(_MATRIX_NAMES))[:m]
+    row = st.lists(st.sampled_from("012"), min_size=m, max_size=m)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    n = len(rows)
+    labels = draw(st.none() | st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+    return list(names), rows, labels
 
 
 @pytest.fixture
@@ -125,6 +149,111 @@ class TestMatrix:
         code, _, err = run_cli(capsys, ["matrix", walkthrough_json])
         assert code == 1
         assert "table" in err
+
+    @given(table=_matrix_tables())
+    @example(table=(["a1"], [["0"]], None))
+    @example(table=(["a1", "é"], [["0", "1"]] * 3, ['"q', "a,b", "日"]))
+    @example(table=(["жук", "a1"], [["0", "1"], ["1", "1"], ["0", "1"], ["1", "1"]], None))
+    def test_streamed_json_matches_the_materialized_report(self, tmp_path_factory, table):
+        """The pairs, written one record at a time, read as the stdlib prints
+        the same report with every pair a dict, worked out here from the
+        rows."""
+        names, rows, labels = table
+        path = tmp_path_factory.getbasetemp() / "matrix-table.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            if labels is None:
+                writer.writerows([names, *rows])
+            else:
+                writer.writerows([["id", *names], *([l, *r] for l, r in zip(labels, rows))])
+        shown = labels or [str(k + 1) for k in range(len(rows))]
+        pairs, family = [], []
+        for i, j in ((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))):
+            entry = sorted(n for n, x, y in zip(names, rows[i], rows[j]) if x != y)
+            pairs.append({"objects": [shown[i], shown[j]], "attributes": entry})
+            if entry and entry not in family:
+                family.append(entry)
+        report = {
+            "command": "matrix",
+            "input": str(path),
+            "attributes": names,
+            "result": {"pairs": pairs, "family": family},
+            "warnings": [],
+        }
+        out = io.StringIO()
+        config = RunConfig(
+            path=str(path), kind="table", command="matrix", fmt="json", id_col=labels is not None
+        )
+        assert run(config, out) == 0
+        assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_json_holds_one_record_at_a_time(self, tmp_path):
+        """On 1000 binary objects the document is about 89 MB; the traced
+        heap peak stays under a twentieth of it (the whole document, or
+        every pair record, would be several times its size).  After the
+        first write, each write is one pair's record, or the close."""
+        rng = random.Random(12)
+        path = tmp_path / "tall.csv"
+        lines = [",".join(f"a{k}" for k in range(8))]
+        lines += [",".join(rng.choice("01") for _ in range(8)) for _ in range(1000)]
+        path.write_text("\n".join(lines) + "\n")
+
+        class Sink(io.TextIOBase):
+            size = writes = longest = 0  # longest: of the writes after the first
+
+            def write(self, text):
+                if self.writes:
+                    self.longest = max(self.longest, len(text))
+                self.writes += 1
+                self.size += len(text)
+
+        sink = Sink()
+        config = RunConfig(path=str(path), kind="table", command="matrix", fmt="json")
+        tracemalloc.start()
+        try:
+            assert run(config, sink) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 80_000_000
+        assert peak < sink.size / 20, (peak, sink.size)
+        assert sink.writes == 1000 * 999 // 2 + 1
+        assert sink.longest < 256  # a record naming all 8 attributes
+
+
+class TestObjectCap:
+    def test_cap_exceeded(self, capsys, triple_csv):
+        code, out, err = run_cli(capsys, ["classify", "--max-objects", "4", triple_csv])
+        assert code == 3
+        assert out == ""
+        assert "5 objects, cap is 4" in err
+
+    def test_default_cap(self, capsys, tmp_path):
+        path = tmp_path / "tall.csv"
+        path.write_text("a,b\n" + "0,1\n" * (cli.OBJECT_CAP + 1))
+        code, _, err = run_cli(capsys, ["matrix", str(path)])
+        assert code == 3
+        assert f"cap is {cli.OBJECT_CAP}" in err
+        raised = ["classify", "--max-objects", str(cli.OBJECT_CAP + 1), str(path)]
+        assert run_cli(capsys, raised)[0] == 0
+
+    def test_raised_cap_warns(self, capsys, triple_csv):
+        raised = str(cli.OBJECT_CAP + 1)
+        argv = ["matrix", "--max-objects", raised, "--format", "json", triple_csv]
+        report = run_json(capsys, argv)
+        assert report["warnings"] == [
+            f"--max-objects {raised} is above the default {cli.OBJECT_CAP}; "
+            "object pairs grow with the square of the object count"
+        ]
+
+    def test_family_input_has_no_objects_to_cap(self, capsys, walkthrough_json):
+        argv = ["classify", "--max-objects", "1", "--format", "json", walkthrough_json]
+        assert run_json(capsys, argv)["warnings"] == []
+
+    def test_nonpositive_cap_is_an_input_error(self, capsys, triple_csv):
+        code, _, err = run_cli(capsys, ["matrix", "--max-objects", "0", triple_csv])
+        assert code == 1
+        assert "--max-objects" in err
 
 
 class TestReduct:
@@ -545,6 +674,15 @@ class TestOneProducer:
         assert len(_calls(log, "covering.minimal_description")) == covered
         assert len(_calls(log, "discern.absorb")) == covered
 
+    def test_covering_builds_each_containing_family_once(self, capsys, monkeypatch, ten_attr_csv):
+        log = _watch(monkeypatch, *self.WATCHED)
+        report = run_json(capsys, ["covering", "--format", "json", ten_attr_csv])
+        covered = len(report["result"]["elements"])
+        assert covered > 0
+        containing = _calls(log, "discern.containing_sets")
+        assert len(containing) == covered
+        assert all("covering.minimal_description" in outer for outer in containing)
+
     def test_relations_builds_each_membership_family_once(
         self, capsys, monkeypatch, ten_attr_csv
     ):
@@ -593,10 +731,20 @@ class TestRunApi:
             RunConfig(
                 path=triple_csv, kind="table", command="audit", max_attrs=0
             )
+        with pytest.raises(InputError):
+            RunConfig(path=triple_csv, kind="table", command="matrix", max_objects=0)
 
 
 def _stdlib_dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _written(value) -> str:
+    """What the CLI's JSON writer makes of ``value``; no shape these tests
+    draw is streamed, so nothing reaches the writer's sink."""
+    parts: list[str] = []
+    cli._dump(value, "\n", parts, None)
+    return "".join(parts)
 
 
 _TRICKY_STRINGS = st.sampled_from(
@@ -630,7 +778,7 @@ class TestJsonWriter:
     @example({"k": ["y", _Name("x")]})
     @example({"k": [["a"]]})
     def test_matches_stdlib_indented_sorted(self, value):
-        assert cli._dumps(value, "\n") == _stdlib_dumps(value)
+        assert _written(value) == _stdlib_dumps(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -650,7 +798,7 @@ class TestJsonWriter:
     )
     def test_unknown_values_raise(self, value):
         with pytest.raises(TypeError):
-            cli._dumps(value, "\n")
+            _written(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -659,7 +807,7 @@ class TestJsonWriter:
     )
     def test_str_subclass_raises_or_matches_stdlib(self, value):
         try:
-            written = cli._dumps(value, "\n")
+            written = _written(value)
         except TypeError:
             return
         assert written == _stdlib_dumps(value)
@@ -773,10 +921,20 @@ _FAMILIES = st.lists(
 
 @st.composite
 def _fuzz_input(draw):
-    """File bytes and a file suffix that matches them half the time;
-    half the inputs start with a UTF-8 byte order mark."""
-    shape = draw(st.sampled_from(["table", "family", "json", "bytes", "spliced"]))
-    if shape == "table":
+    """File bytes, a file suffix that matches them half the time, and
+    whether the bytes are a well-formed table over the object cap; half the
+    inputs start with a UTF-8 byte order mark."""
+    shape = draw(st.sampled_from(["table", "family", "json", "bytes", "spliced", "over-cap"]))
+    if shape == "over-cap":
+        # A leading serial number keeps the labels distinct under --id-col.
+        width = draw(st.integers(1, 3))
+        row = st.lists(_CLEAN_CELLS, min_size=width, max_size=width)
+        pool = draw(st.lists(row, min_size=1, max_size=3))
+        n = cli.OBJECT_CAP + draw(st.integers(1, 3))
+        lines = [[f"a{k}" for k in range(width + 1)]]
+        lines += ([str(k), *pool[k % len(pool)]] for k in range(n))
+        data, natural = "".join(",".join(r) + "\n" for r in lines).encode("utf-8"), ".csv"
+    elif shape == "table":
         data, natural = draw(_csv_text()).encode("utf-8"), ".csv"
     elif shape == "bytes":
         data, natural = draw(st.binary(max_size=120)), ".csv"
@@ -786,7 +944,7 @@ def _fuzz_input(draw):
         if shape == "spliced":
             data = data[: draw(st.integers(0, len(data)))] + draw(st.binary(max_size=20))
     suffix = draw(st.sampled_from([natural, ".csv", ".json", ".txt"]))
-    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data, suffix
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data, suffix, shape == "over-cap"
 
 
 _FUZZ_COMMANDS = [
@@ -814,8 +972,9 @@ def test_fuzzed_inputs_end_in_a_documented_exit_code(
     tmp_path_factory, case, command, kind, id_col, fmt
 ):
     """Whatever the file holds, every subcommand exits 0, 1 or 3 with no
-    exception escaping ``main`` and no traceback on stderr."""
-    data, suffix = case
+    exception escaping ``main`` and no traceback on stderr; a table over the
+    object cap, read as a table, exits 3."""
+    data, suffix, over_cap = case
     path = tmp_path_factory.getbasetemp() / f"fuzzed-input{suffix}"
     path.write_bytes(data)
     argv = [*command, *kind, *id_col, "--format", fmt, str(path)]
@@ -824,5 +983,7 @@ def test_fuzzed_inputs_end_in_a_documented_exit_code(
         code = main(argv)
     assert code in (0, 1, 3), (argv, data, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if over_cap and (kind == ["--kind", "table"] or (not kind and suffix != ".json")):
+        assert code == 3, (argv, err.getvalue())
     if code == 0 and fmt == "json":
         json.loads(out.getvalue())
