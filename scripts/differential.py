@@ -15,14 +15,19 @@ ternary with rows two or more attributes apart (and a 7-attribute one for
 more with their columns shuffled.  Each case calls ``reducts.cli.main``
 in process and records its exit code, stdout and stderr.
 
-Without ``--against``, the corpus runs in this process on this
-checkout's ``src``, and the script exits 1 if any case raised or failed
-an internal check (exit 2).  With ``--against REV``, it runs on this
-checkout's ``src`` and on a ``git archive`` export of REV (no worktree is
-added), each in its own child process with a fixed hash seed, and the
-script exits 1 on any difference in stdout, stderr or exit code.
+Every case runs from the corpus directory and names its input by its
+bare file name, so no temporary path enters the output.  Without
+``--against``, the corpus runs in this process on this checkout's
+``src``, and the script exits 1 if any case raised or failed an internal
+check (exit 2).  With ``--digest``, it prints instead one sha256 per case
+over its exit code, stdout and stderr, beside the case's arguments;
+``tests/golden/digests.json`` pins a subset of them.  With ``--against
+REV``, it runs on this checkout's ``src`` and on a ``git archive`` export
+of REV (no worktree is added), each in its own child process with a
+fixed hash seed, and the script exits 1 on any difference in stdout,
+stderr or exit code.
 
-    python3 scripts/differential.py [--seed N] [--tables N] [--against REV]
+    python3 scripts/differential.py [--seed N] [--tables N] [--against REV | --digest]
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -45,6 +51,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SCRIPTS = REPO / "scripts"
 GOLDEN = REPO / "tests" / "golden"
+# The pinned digests of a subset of the cases, not an input.
+DIGESTS = GOLDEN / "digests.json"
 
 # Every variant runs once with --format text and once with --format json.
 VARIANTS = (
@@ -125,7 +133,8 @@ def _random_family(rng: random.Random) -> list:
 
 
 def write_corpus(directory: Path, seed: int, tables: int) -> list[list[str]]:
-    """Write the corpus under ``directory`` and return every case's argv."""
+    """Write the corpus under ``directory`` and return every case's argv,
+    which names its input relative to ``directory``."""
     from measure_claims import random_system
 
     rng = random.Random(seed)
@@ -158,14 +167,14 @@ def write_corpus(directory: Path, seed: int, tables: int) -> list[list[str]]:
             table = directory / f"bench_{n}x{m}{name}.csv"
             _write_table(table, shaped, labelled=False)
             inputs.append((table, [], variants))
-    for source in sorted(GOLDEN.glob("*.*")):
+    for source in sorted(set(GOLDEN.glob("*.*")) - {DIGESTS}):
         copy = directory / f"golden_{source.name}"
         shutil.copyfile(source, copy)
         inputs.append((copy, [], VARIANTS))
         if copy.suffix == ".csv":
             inputs.append((copy, ["--id-col"], VARIANTS))
     return [
-        [*variant, *extra, "--format", fmt, str(path)]
+        [*variant, *extra, "--format", fmt, path.name]
         for path, extra, variants in inputs
         for variant in variants
         for fmt in ("text", "json")
@@ -173,7 +182,8 @@ def write_corpus(directory: Path, seed: int, tables: int) -> list[list[str]]:
 
 
 def run_cases(cases: list[list[str]]) -> list[list]:
-    """Exit code, stdout and stderr of ``reducts.cli.main`` on each argv.
+    """Exit code, stdout and stderr of ``reducts.cli.main`` on each argv,
+    run from the current directory.
 
     A case that raises records -1 and the exception's last line, without
     file paths, so two trees can be compared."""
@@ -190,6 +200,21 @@ def run_cases(cases: list[list[str]]) -> list[list]:
                 err.write("".join(traceback.format_exception_only(type(exc), exc)))
         results.append([code, out.getvalue(), err.getvalue()])
     return results
+
+
+def run_in(directory: Path, cases: list[list[str]]) -> list[list]:
+    """``run_cases`` from ``directory``, the corpus the cases name."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return run_cases(cases)
+    finally:
+        os.chdir(cwd)
+
+
+def digest(result: list) -> str:
+    """sha256 of one case's exit code, stdout and stderr."""
+    return hashlib.sha256(json.dumps(result, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
 def _run_tree(src: Path, cases: list[list[str]], cwd: Path) -> list[list]:
@@ -231,7 +256,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tables", type=int, default=100, help="seeded tables, each with a family file")
-    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="REV", help="git revision to compare with")
+    mode.add_argument("--digest", action="store_true", help="print one sha256 per case")
     args = parser.parse_args()
     sys.path.insert(0, str(REPO / "src"))
 
@@ -242,10 +269,14 @@ def main() -> int:
         if args.against is not None:
             tree = Path(tmp, "against")
             _export(args.against, tree)
-            here = _run_tree(REPO / "src", cases, Path(tmp))
-            there = _run_tree(tree / "src", cases, Path(tmp))
+            here = _run_tree(REPO / "src", cases, corpus)
+            there = _run_tree(tree / "src", cases, corpus)
             return _compare(cases, here, there)
-        results = run_cases(cases)
+        results = run_in(corpus, cases)
+    if args.digest:
+        for argv, result in zip(cases, results):
+            print(digest(result), " ".join(argv))
+        return 0
     codes = Counter(code for code, _, _ in results)
     print(f"{len(cases)} cases; exit codes: "
           + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))

@@ -19,8 +19,9 @@ the pairs stay a ``_PairRecords`` that reads each entry off the matrix's
 stored cells, and the writer encodes each distinct entry and each label
 once and sends each pair's record to the output as a string of its own.
 No string of the whole ``matrix`` document, and no dict per pair, is
-built.  A table over the object cap (``--max-objects``) is refused before
-any of its rows is compared.
+built.  The text grid goes out one line per object too, after a first
+pass over the entries sizes its columns.  A table over the object cap
+(``--max-objects``) is refused before any of its rows is compared.
 
 Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
 violation, 3 resource cap exceeded.
@@ -33,7 +34,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .characters import classify_all
 from .covering import covering_from_family, singleton_equivalences
@@ -172,9 +173,13 @@ def _universe(loaded: _Loaded) -> frozenset[int]:
     return frozenset(range(len(loaded.names)))
 
 
+def _pad_line(row, widths: list[int]) -> str:
+    return "  ".join(map(str.ljust, row, widths)).rstrip()
+
+
 def _pad(rows: list[list[str]]) -> list[str]:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return [_pad_line(row, widths) for row in rows]
 
 
 def _braces(names: list[str]) -> str:
@@ -191,19 +196,19 @@ def _listing(names: list[str]) -> str:
 
 @dataclass(frozen=True)
 class _PairRecords:
-    """The ``matrix`` pairs, read once, in row-major order.
+    """The ``matrix`` pairs, in row-major order.
 
     They stand for the list of records ``{"attributes": names, "objects":
     [label_i, label_j]}``, one per object pair ``i < j``, which is how the
-    JSON writer writes them.  ``rows`` yields, for each object in order, the
-    entries of its pairs with every later object, read off the matrix's
-    stored cells, and ``names`` maps each entry to its names; nothing per
-    pair is built.
+    JSON writer writes them.  Each call of ``entry_rows`` yields, for each
+    object in order, the entries of its pairs with every later object, read
+    off the matrix's stored cells, and ``names`` maps each entry to its
+    names; nothing per pair is built.
     """
 
     labels: tuple[str, ...]
     names: dict[frozenset[int], list[str]]
-    rows: Iterator[Iterator[frozenset[int]]]
+    entry_rows: Callable[[], Iterator[Iterator[frozenset[int]]]]
 
 
 def _cmd_matrix(loaded: _Loaded, config: RunConfig):
@@ -212,24 +217,29 @@ def _cmd_matrix(loaded: _Loaded, config: RunConfig):
     # The empty entry is that of two equal rows; every other is a member.
     names = {entry: loaded.set_names(entry) for entry in (frozenset(), *dm.family)}
     result = {
-        "pairs": _PairRecords(loaded.labels, names, dm.entry_rows()),
+        "pairs": _PairRecords(loaded.labels, names, dm.entry_rows),
         "family": family,
     }
     return result, []
 
 
-def _text_matrix(loaded: _Loaded, result: dict) -> list[str]:
+def _text_matrix(loaded: _Loaded, result: dict) -> Iterator[str]:
+    """The grid, one line per object, as ``_pad`` would lay it out; each
+    column's width comes from a first pass over the entries."""
     labels = loaded.labels
-    lines = [f"discernibility matrix: {len(labels)} objects, {len(loaded.names)} attributes"]
+    yield f"discernibility matrix: {len(labels)} objects, {len(loaded.names)} attributes"
     if len(labels) > 1:
         records = result["pairs"]
         cell = {entry: ", ".join(names) or "-" for entry, names in records.names.items()}
-        grid = [[""] + list(labels[1:])]
-        for i, row in zip(range(len(labels) - 1), records.rows):
-            grid.append([labels[i]] + [""] * i + list(map(cell.__getitem__, row)))
-        lines += _pad(grid)
-    lines.append(f"family: {_members(result['family'])}")
-    return lines
+        width = {entry: len(text) for entry, text in cell.items()}
+        # Object j's column holds its label and the cells of rows i < j.
+        widths = [max(map(len, labels[:-1])), *map(len, labels[1:])]
+        for i, row in zip(range(len(labels) - 1), records.entry_rows()):
+            widths[i + 1 :] = map(max, widths[i + 1 :], map(width.__getitem__, row))
+        yield _pad_line(["", *labels[1:]], widths)
+        for i, row in zip(range(len(labels) - 1), records.entry_rows()):
+            yield _pad_line([labels[i], *repeat("", i), *map(cell.__getitem__, row)], widths)
+    yield f"family: {_members(result['family'])}"
 
 
 def _cmd_classify(loaded: _Loaded, config: RunConfig):
@@ -633,7 +643,7 @@ def _dump_pairs(records: _PairRecords, nl: str, parts: list[str], out) -> None:
     # opens by closing the one before.
     reopen = key + "]" + record + "}," + record + "{" + key
     after = {entry: reopen + text for entry, text in head.items()}
-    rows = zip(range(len(labels) - 1), records.rows)
+    rows = zip(range(len(labels) - 1), records.entry_rows())
     _, row = next(rows)
     first = labels[0] + "," + item
     parts.append("[" + record + "{" + key + head[next(row)] + first + labels[1])

@@ -19,7 +19,7 @@ object row at a time, so nothing per object pair is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
@@ -106,15 +106,14 @@ class Absorption:
 
 @dataclass(frozen=True, eq=False)
 class DiscernibilityMatrix:
-    """A table, the family of attribute sets separating its object pairs,
-    and the entries those sets were collected from.
+    """The family of attribute sets separating a table's object pairs, and
+    the entries those sets were collected from.
 
     ``row_ids`` gives each object the index of its row among the distinct
     rows, numbered in first-seen order.  ``cells[p][q - p - 1]`` is the
     entry of distinct rows ``p < q``; equal entries are one shared object.
     """
 
-    system: InformationSystem
     family: SetFamily
     row_ids: tuple[int, ...]
     cells: tuple[tuple[AttrSet, ...], ...]
@@ -141,12 +140,11 @@ class DiscernibilityMatrix:
             yield from zip(repeat(i), count(i + 1), row)
 
 
-def _compare_pairs(rows: Sequence[Sequence[Value]], attrs: range) -> Iterator[AttrSet]:
-    """For each pair ``i < j`` of ``rows`` in row-major order, the
-    attributes whose values differ between the two rows."""
+def _compare_pairs(rows: Sequence[Sequence[Value]], attrs: range) -> Iterator[list[AttrSet]]:
+    """For each row of ``rows`` in order, the attributes whose values differ
+    between it and each later row, in order."""
     for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            yield frozenset(compress(attrs, map(ne, row, rows[j])))
+        yield [frozenset(compress(attrs, map(ne, row, other))) for other in rows[i + 1 :]]
 
 
 def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
@@ -157,16 +155,17 @@ def discernibility_matrix(system: InformationSystem) -> DiscernibilityMatrix:
     an earlier pair of first occurrences, so the distinct rows, taken in
     first-seen order, give the same members in the same order.  Rows are
     merged by equality, so a cell value must equal itself (a float NaN
-    does not).
+    does not).  The cells are filled one distinct row at a time, as the
+    rows are compared.
     """
     ids = {row: p for p, row in enumerate(dict.fromkeys(system.rows))}
     interned: dict[AttrSet, AttrSet] = {}
-    entries = iter(
-        [interned.setdefault(d, d) for d in _compare_pairs(tuple(ids), range(system.n_attributes))]
+    intern = interned.setdefault
+    cells = tuple(
+        tuple(map(intern, row, row))
+        for row in _compare_pairs(tuple(ids), range(system.n_attributes))
     )
-    cells = tuple(tuple(islice(entries, len(ids) - p - 1)) for p in range(len(ids)))
     return DiscernibilityMatrix(
-        system,
         SetFamily(d for d in interned if d),
         tuple(map(ids.__getitem__, system.rows)),
         cells,

@@ -84,9 +84,10 @@ class ReductCheck:
 
 def verify_reduct(family: SetFamily, candidate: AttrSet) -> ReductCheck:
     """Diagnose whether ``candidate`` is a minimal hitting set of ``family``."""
-    for member in family.canonical:
-        if not candidate & member:
-            return ReductCheck(ReductStatus.NOT_HITTING, witness=member)
+    missed = (member for member in family if not candidate & member)
+    witness = min(missed, key=canonical_key, default=None)
+    if witness is not None:
+        return ReductCheck(ReductStatus.NOT_HITTING, witness=witness)
     for a in sorted(candidate, reverse=True):
         if hits_all(candidate - {a}, family):
             return ReductCheck(ReductStatus.NOT_MINIMAL, removable=a)
@@ -238,7 +239,7 @@ def ea_reduce(
     steps: list[SubstituteStep] = []
 
     while len(current):
-        first_member = current.canonical[0]
+        first_member = min(current, key=canonical_key)
         a = _select(policy, first_member, current)
         containing = containing_sets(current, a)
         substitutes = substitute_sets(current, a)

@@ -11,6 +11,9 @@ measures, by brute quantifier enumeration on a concrete table, a catalog
 of equivalence claims connecting these relations to the containing and
 substitute families.  Audited claims are measured, never trusted: each
 instance records both sides and, on mismatch, a concrete counterexample.
+Every transfer claim is one scan for a C that hits a premise list of
+members and misses one of a conclusion list.  A claim about C padded by a
+fixed set passes, on the padded side, only the members the pad misses.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .characters import Character, classify_all
-from .discern import SetFamily, containing_sets, discernibility_matrix
+from .discern import SetFamily, canonical_key, containing_sets, discernibility_matrix
 from .errors import InvariantViolation, ResourceLimitError
 from .model import (
     AttrSet,
@@ -215,10 +218,6 @@ class _Auditor:
     def _mask(s: AttrSet) -> int:
         return sum(1 << i for i in s)
 
-    @staticmethod
-    def _hits(mask: int, members: list[int]) -> bool:
-        return all(mask & m for m in members)
-
     def _set_str(self, mask_or_set) -> str:
         """Names of an attribute set or bit mask, braced."""
         attrs = mask_or_set
@@ -234,22 +233,21 @@ class _Auditor:
         )
 
     def _transfer_violation(
-        self,
-        premise: list[int],
-        conclusion: list[int],
-        *,
-        premise_extra: int = 0,
-        conclusion_extra: int = 0,
+        self, premise: list[int], conclusion: list[int]
     ) -> tuple[int, int] | None:
-        """First C whose padded form hits ``premise`` yet misses ``conclusion``."""
+        """First C, in numeric order, that hits every ``premise`` mask yet
+        misses a ``conclusion`` mask, with the first mask it misses.
+
+        A test about C padded by a fixed set C0 passes, for the padded side,
+        only the members C0 does not hit: C ∪ C0 hits a list exactly when C
+        hits those members, and the first member C ∪ C0 misses is the first
+        of them that C misses.
+        """
         for c in range(1 << self.n):
-            if self._hits(c | premise_extra, premise) and not self._hits(
-                c | conclusion_extra, conclusion
-            ):
-                missed = next(
-                    m for m in conclusion if not (c | conclusion_extra) & m
-                )
-                return c, missed
+            if all(c & p for p in premise):
+                missed = next((q for q in conclusion if not c & q), None)
+                if missed is not None:
+                    return c, missed
         return None
 
     def substitute_claims(self) -> None:
@@ -343,7 +341,9 @@ class _Auditor:
     def coupled_claims(self) -> None:
         """Coupling of two attributes equated with three transfer conditions:
         hitting one containing family forces the other, extension by one
-        attribute forces the other, and the set-difference variant."""
+        attribute forces the other, and the set-difference variant.  The
+        last two are one test worded two ways, since C∪{x} hits N(y) exactly
+        when C hits the members of N(y) lacking x, so one scan serves both."""
         for a, b in combinations(range(self.n), 2):
             lhs = coupled(self.reducts, a, b)
             subject = f"a={self.names[a]}, b={self.names[b]}"
@@ -351,85 +351,74 @@ class _Auditor:
                 f"transfers hold both ways, yet some reduct separates "
                 f"{self.names[a]} from {self.names[b]}"
             )
-            plain = self._coupling_violation(a, b, extended=False)
-            self.record(
-                "coupled_partition_transfer",
-                subject,
-                lhs,
-                plain is None,
-                plain or fallback,
-            )
-            extended = self._coupling_violation(a, b, extended=True)
-            self.record(
-                "coupled_extension_transfer",
-                subject,
-                lhs,
-                extended is None,
-                extended or fallback,
-            )
-            diff = self._coupling_difference_violation(a, b)
-            self.record(
-                "coupled_difference_transfer",
-                subject,
-                lhs,
-                diff is None,
-                diff or fallback,
-            )
+            plain = self._coupling_violation(a, b, lacking=False)
+            restricted = self._coupling_violation(a, b, lacking=True)
+            for claim, violation, wording in (
+                (
+                    "coupled_partition_transfer",
+                    plain,
+                    "C={c}: C hits every containing set of {y}, "
+                    "but C misses {missed} containing {x}",
+                ),
+                (
+                    "coupled_extension_transfer",
+                    restricted,
+                    "C={c}: C∪{{{x}}} hits every containing set of {y}, "
+                    "but C misses {missed} containing {x}",
+                ),
+                (
+                    "coupled_difference_transfer",
+                    restricted,
+                    "C={c} hits every containing set of {y} lacking {x}, "
+                    "but misses {missed}",
+                ),
+            ):
+                detail = fallback
+                if violation is not None:
+                    x, y, c, missed = violation
+                    detail = wording.format(
+                        x=self.names[x],
+                        y=self.names[y],
+                        c=self._set_str(c),
+                        missed=self._set_str(missed),
+                    )
+                self.record(claim, subject, lhs, violation is None, detail)
 
-    def _coupling_violation(self, a: int, b: int, extended: bool) -> str | None:
+    def _coupling_violation(
+        self, a: int, b: int, lacking: bool
+    ) -> tuple[int, int, int, int] | None:
+        """The first (x, y, C, missed), trying x = a before x = b, where C
+        hits every member of N(y), or only those lacking x when ``lacking``,
+        yet misses the member ``missed`` of N(x)."""
         for x, y in ((a, b), (b, a)):
-            hit = self._transfer_violation(
-                self.n_masks[y],
-                self.n_masks[x],
-                premise_extra=(1 << x) if extended else 0,
-            )
-            if hit is not None:
-                c, missed = hit
-                via = (
-                    f"C∪{{{self.names[x]}}} hits every containing set of "
-                    f"{self.names[y]}"
-                    if extended
-                    else f"C hits every containing set of {self.names[y]}"
-                )
-                return (
-                    f"C={self._set_str(c)}: {via}, but C misses "
-                    f"{self._set_str(missed)} containing {self.names[x]}"
-                )
-        return None
-
-    def _coupling_difference_violation(self, a: int, b: int) -> str | None:
-        for x, y in ((a, b), (b, a)):
-            x_bit = 1 << x
-            premise = [m for m in self.n_masks[y] if not m & x_bit]
+            premise = self.n_masks[y]
+            if lacking:
+                premise = [m for m in premise if not m >> x & 1]
             hit = self._transfer_violation(premise, self.n_masks[x])
             if hit is not None:
-                c, missed = hit
-                return (
-                    f"C={self._set_str(c)} hits every containing set of "
-                    f"{self.names[y]} lacking {self.names[x]}, but misses "
-                    f"{self._set_str(missed)}"
-                )
+                return x, y, *hit
         return None
 
     def exclusion_extension_claims(self) -> None:
         """Exclusion of an attribute by a reduct-extendable set equated with
         a transfer: any D hitting the attribute's substitute sets that the
         set does not already touch makes the union hit its containing sets."""
-        c_domain: set[AttrSet] = set()
-        for r in self.reducts:
-            members = sorted(r)
-            for size in range(len(members) + 1):
-                for combo in combinations(members, size):
-                    c_domain.add(frozenset(combo))
-        for c in sorted(c_domain, key=lambda s: (len(s), tuple(sorted(s)))):
+        c_domain = {
+            frozenset(combo)
+            for r in self.reducts
+            for size in range(len(r) + 1)
+            for combo in combinations(r, size)
+        }
+        for c in sorted(c_domain, key=canonical_key):
             c_mask = self._mask(c)
             for a in range(self.n):
                 if a in c:
                     continue
                 lhs = excludes(self.reducts, c, a)
-                targets = [k for k in self.e_masks[a] if not k & c_mask]
+                # C∪D hits a containing set C misses exactly when D does.
                 violation = self._transfer_violation(
-                    targets, self.n_masks[a], conclusion_extra=c_mask
+                    [k for k in self.e_masks[a] if not k & c_mask],
+                    [k for k in self.n_masks[a] if not k & c_mask],
                 )
                 rhs = violation is None
                 if violation is not None:

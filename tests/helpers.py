@@ -88,6 +88,26 @@ def run_child(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
 
 
+def padded_transfer_violation(
+    n_attrs: int,
+    premise: list[int],
+    conclusion: list[int],
+    premise_extra: int = 0,
+    conclusion_extra: int = 0,
+) -> tuple[int, int] | None:
+    """The audit's transfer scan with its pads applied to C itself: the first
+    C, in numeric order, such that C | ``premise_extra`` hits every
+    ``premise`` mask while C | ``conclusion_extra`` misses a ``conclusion``
+    mask, with the first mask it misses."""
+    for c in range(1 << n_attrs):
+        if all((c | premise_extra) & p for p in premise):
+            padded = c | conclusion_extra
+            missed = [q for q in conclusion if not padded & q]
+            if missed:
+                return c, missed[0]
+    return None
+
+
 def fam(*sets) -> SetFamily:
     return SetFamily(tuple(frozenset(s) for s in sets))
 

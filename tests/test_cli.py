@@ -46,6 +46,18 @@ def _matrix_tables(draw):
     return list(names), rows, labels
 
 
+def _write_matrix_table(tmp_path_factory, table) -> Path:
+    names, rows, labels = table
+    path = tmp_path_factory.getbasetemp() / "matrix-table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        if labels is None:
+            writer.writerows([names, *rows])
+        else:
+            writer.writerows([["id", *names], *([l, *r] for l, r in zip(labels, rows))])
+    return path
+
+
 @pytest.fixture
 def triple_csv(tmp_path):
     path = tmp_path / "triple_reduct.csv"
@@ -159,13 +171,7 @@ class TestMatrix:
         the same report with every pair a dict, worked out here from the
         rows."""
         names, rows, labels = table
-        path = tmp_path_factory.getbasetemp() / "matrix-table.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            if labels is None:
-                writer.writerows([names, *rows])
-            else:
-                writer.writerows([["id", *names], *([l, *r] for l, r in zip(labels, rows))])
+        path = _write_matrix_table(tmp_path_factory, table)
         shown = labels or [str(k + 1) for k in range(len(rows))]
         pairs, family = [], []
         for i, j in ((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))):
@@ -186,6 +192,58 @@ class TestMatrix:
         )
         assert run(config, out) == 0
         assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @given(table=_matrix_tables())
+    @example(table=(["a1", "é"], [["0", "1"]] * 3, ['"q', "a,b", "日"]))
+    @example(table=(["a1", "a2"], [["0", "1"], ["1", "0"], ["0", "0"]], ["long label", "x", "y"]))
+    def test_streamed_text_matches_the_padded_grid(self, tmp_path_factory, table):
+        """The text grid, written line by line with widths from a first pass,
+        reads as the whole grid padded at once, worked out here from the
+        rows."""
+        names, rows, labels = table
+        path = _write_matrix_table(tmp_path_factory, table)
+        shown = labels or [str(k + 1) for k in range(len(rows))]
+        grid = [["", *shown[1:]]]
+        for i in range(len(rows) - 1):
+            cells = [
+                ", ".join(sorted(n for n, x, y in zip(names, rows[i], rows[j]) if x != y)) or "-"
+                for j in range(i + 1, len(rows))
+            ]
+            grid.append([shown[i], *[""] * i, *cells])
+        out = io.StringIO()
+        config = RunConfig(path=str(path), kind="table", command="matrix", id_col=labels is not None)
+        assert run(config, out) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[0] == f"discernibility matrix: {len(rows)} objects, {len(names)} attributes"
+        assert lines[1:-1] == (cli._pad(grid) if len(rows) > 1 else [])
+        assert lines[-1].startswith("family: ")
+
+    def test_text_holds_one_line_at_a_time(self, tmp_path):
+        """On 1000 binary objects the text grid is about 30 MB; the traced
+        heap peak stays under a twentieth of it (the padded grid, built
+        whole, would be larger than the text)."""
+        rng = random.Random(12)
+        path = tmp_path / "tall.csv"
+        lines = [",".join(f"a{k}" for k in range(8))]
+        lines += [",".join(rng.choice("01") for _ in range(8)) for _ in range(1000)]
+        path.write_text("\n".join(lines) + "\n")
+
+        class Sink(io.TextIOBase):
+            size = 0
+
+            def write(self, text):
+                self.size += len(text.encode("utf-8"))
+
+        sink = Sink()
+        config = RunConfig(path=str(path), kind="table", command="matrix")
+        tracemalloc.start()
+        try:
+            assert run(config, sink) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10_000_000
+        assert peak < sink.size / 20, (peak, sink.size)
 
     def test_json_holds_one_record_at_a_time(self, tmp_path):
         """On 1000 binary objects the document is about 89 MB; the traced

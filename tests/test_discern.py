@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -192,6 +194,24 @@ class TestMatrix:
         m = discernibility_matrix(s)
         assert list(m.pairs()) == _all_pairs(s)
         assert m.family.members == _first_seen_entries(_all_pairs(s))
+
+    def test_cells_are_the_only_copy_of_the_entries(self):
+        """The cells hold one reference per pair of distinct rows, filled
+        as the rows are compared; the traced peak stays under two per
+        pair, which a flat list of every entry beside the cells passes."""
+        rng = random.Random(5)
+        rows = tuple(tuple(rng.randrange(3) for _ in range(10)) for _ in range(600))
+        s = InformationSystem(tuple(f"a{i}" for i in range(10)), rows, tuple(map(str, range(600))))
+        tracemalloc.start()
+        try:
+            m = discernibility_matrix(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = len(set(rows))
+        pairs = distinct * (distinct - 1) // 2
+        assert sum(map(len, m.cells)) == pairs
+        assert peak < 2 * 8 * pairs, (peak, pairs)
 
     def test_constant_attribute_never_appears(self):
         s = InformationSystem.from_columns(["a", "b"], [[0, 0, 0], [0, 1, 2]])

@@ -5,20 +5,30 @@ The inputs live in ``tests/golden`` and the expected reports in
 input.  Commands run from the input directory, so the ``input`` field of a
 JSON report is the bare file name.
 
-After an intended change to the output, rewrite the pinned files with
-``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
+``digests.json`` pins, for a fixed subset of the seeded corpus of
+``scripts/differential.py``, the sha256 of each case's exit code, stdout
+and stderr; the cases run from the corpus directory, as these do from
+theirs.
+
+After an intended change to the output, rewrite the pinned files and
+digests with ``PYTHONPATH=src python3 tests/test_golden.py`` and review
+the diff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 
+import helpers  # noqa: F401  (puts scripts/ on the import path)
+import differential
 from reducts.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,7 +86,27 @@ def test_stdout_matches_pinned_file(name):
     assert _stdout(CASES[name]) == expected
 
 
+def _digests(pinned: dict, directory: Path) -> dict[str, str]:
+    """The digest of each pinned case, run on a corpus written to
+    ``directory`` from the pinned seed and table count."""
+    corpus = differential.write_corpus(directory, pinned["seed"], pinned["tables"])
+    by_name = {" ".join(argv): argv for argv in corpus}
+    names = sorted(pinned["digests"])
+    results = differential.run_in(directory, [by_name[name] for name in names])
+    return dict(zip(names, map(differential.digest, results)))
+
+
+def test_differential_digests_match_pinned(tmp_path):
+    pinned = json.loads(differential.DIGESTS.read_text(encoding="utf-8"))
+    assert _digests(pinned, tmp_path) == pinned["digests"]
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN / "out" / name).write_text(_stdout(argv), encoding="utf-8")
     print(f"wrote {len(CASES)} files to {GOLDEN / 'out'}")
+    pinned = json.loads(differential.DIGESTS.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned["digests"] = _digests(pinned, Path(tmp))
+    differential.DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(pinned['digests'])} digests to {differential.DIGESTS}")

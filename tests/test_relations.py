@@ -1,7 +1,19 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import ALL_CLAIMS, PROVEN_CLAIMS, fam, families, systems
+from helpers import (
+    ALL_CLAIMS,
+    PROVEN_CLAIMS,
+    fam,
+    families,
+    padded_transfer_violation,
+    random_system,
+    systems,
+)
 from reducts.characters import Character, classify_all
 from reducts.discern import discernibility_matrix, family_from_names
 from reducts.errors import InvariantViolation, ResourceLimitError
@@ -307,6 +319,46 @@ class TestAudit:
                 assert inst.agree, (inst.claim, inst.subject)
             if not inst.agree:
                 assert inst.counterexample
+
+
+@st.composite
+def padded_transfers(draw):
+    """Mask lists over up to 6 attributes, with a pad for each side."""
+    n = draw(st.integers(1, 6))
+    masks = st.lists(st.integers(1, (1 << n) - 1), max_size=6)
+    pads = st.integers(0, (1 << n) - 1)
+    return n, draw(masks), draw(masks), draw(pads), draw(pads)
+
+
+class TestTransferScan:
+    @given(padded_transfers())
+    def test_folded_pads_match_the_padded_scan(self, case):
+        # A pad is folded in by passing only the members it does not hit.
+        n, premise, conclusion, premise_extra, conclusion_extra = case
+        folded = _Auditor._transfer_violation(
+            SimpleNamespace(n=n),
+            [p for p in premise if not p & premise_extra],
+            [q for q in conclusion if not q & conclusion_extra],
+        )
+        assert folded == padded_transfer_violation(
+            n, premise, conclusion, premise_extra, conclusion_extra
+        )
+
+    def test_extension_and_difference_coupling_agree(self):
+        # C∪{x} hits N(y) exactly when C hits the members of N(y) lacking x,
+        # so the two claims are one test; seeded tables show it splitting
+        # from coupling itself.
+        rng = random.Random(17)
+        split = 0
+        for _ in range(60):
+            report = audit_theorems(random_system(rng, 8, 6))
+            extension = report_rows(report, "coupled_extension_transfer")
+            difference = report_rows(report, "coupled_difference_transfer")
+            assert [(i.subject, i.lhs, i.rhs) for i in extension] == [
+                (i.subject, i.lhs, i.rhs) for i in difference
+            ]
+            split += sum(not i.agree for i in extension)
+        assert split
 
 
 def report_rows(report, claim):
