@@ -9,28 +9,30 @@ json prints it as a canonical JSON document that re-serializes
 byte-identically, and the plain-text report is rendered from that same
 object, so the two formats cannot disagree.
 
-The JSON document is written by this module's own writer, ``_dump``,
-whose output is byte for byte that of ``json.dumps(report, indent=2,
-sort_keys=True)``.  The stdlib drops to a pure-Python encoder whenever
-``indent`` is set; the writer instead encodes every string, and joins
-every list of strings, in C, and appends the pieces to one list that
-``run`` joins once.  ``matrix`` and its n^2 object pairs are streamed:
-the pairs stay a ``_PairRecords`` that reads each entry off the matrix's
-stored cells, and the writer encodes each distinct entry and each label
-once and sends each pair's record to the output as a string of its own.
-No string of the whole ``matrix`` document, and no dict per pair, is
-built.  The text grid goes out one line per object too, after a first
-pass over the entries sizes its columns.  A table over the object cap
+Every report goes to its stream piece by piece, as it is made; no
+string of a whole document is built.  The JSON document is written by
+this module's own writer, ``_dump``, whose output is byte for byte that
+of ``json.dumps(report, indent=2, sort_keys=True)``.  The stdlib drops
+to a pure-Python encoder whenever ``indent`` is set; the writer instead
+encodes every string, and joins every list of strings, in C, and writes
+each piece.  The ``matrix`` pairs stay a ``_PairRecords`` that reads
+each entry off the matrix's stored cells, so no dict per pair is built,
+and the writer encodes each distinct entry and each label once.  Each
+text renderer yields its report line by line; the text matrix sizes its
+columns with a first pass over the entries.  A table over the object cap
 (``--max-objects``) is refused before any of its rows is compared.
 
-Exit codes: 0 success, 1 malformed input or usage, 2 internal invariant
-violation, 3 resource cap exceeded.
+Exit codes: 0 success, 1 malformed input, usage or unwritable output,
+2 internal invariant violation, 3 resource cap exceeded or out of
+memory.  Output is written as it is made, so a non-zero exit can follow
+part of a report: the report is then incomplete.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -264,18 +266,15 @@ def _cmd_classify(loaded: _Loaded, config: RunConfig):
     return result, []
 
 
-def _text_classify(loaded: _Loaded, result: dict) -> list[str]:
-    lines = [
-        f"core: {_listing(result['core'])}",
-        f"relative necessary: {_listing(result['relative_necessary'])}",
-        f"unnecessary: {_listing(result['unnecessary'])}",
-        "",
-    ]
+def _text_classify(loaded: _Loaded, result: dict) -> Iterator[str]:
+    yield f"core: {_listing(result['core'])}"
+    yield f"relative necessary: {_listing(result['relative_necessary'])}"
+    yield f"unnecessary: {_listing(result['unnecessary'])}"
+    yield ""
     for name, families in result["families"].items():
-        lines.append(f"{name}: {result['characters'][name]}")
-        lines.append(f"  containing: {_members(families['containing'])}")
-        lines.append(f"  substitutes: {_members(families['substitutes'])}")
-    return lines
+        yield f"{name}: {result['characters'][name]}"
+        yield f"  containing: {_members(families['containing'])}"
+        yield f"  substitutes: {_members(families['substitutes'])}"
 
 
 def _trace_json(loaded: _Loaded, trace: ReductTrace) -> list[dict]:
@@ -307,31 +306,27 @@ def _trace_json(loaded: _Loaded, trace: ReductTrace) -> list[dict]:
     return steps
 
 
-def _trace_lines(algorithm: str, steps: list[dict]) -> list[str]:
-    lines = []
+def _trace_lines(algorithm: str, steps: list[dict]) -> Iterator[str]:
     for k, step in enumerate(steps, start=1):
         if algorithm == "yao":
-            lines.append(
+            yield (
                 f"step {k}: entry {step['pivot']} absorbed to "
                 f"{_braces(step['absorbed'])}, chose {step['chosen']}"
             )
-            lines.append(f"  entries now: {_members(step['entries_after'])}")
+            yield f"  entries now: {_members(step['entries_after'])}"
             continue
         chosen = step["chosen"]
-        lines.append(f"step {k}: examining {chosen}")
-        lines.append(f"  containing: {_members(step['containing'])}")
-        lines.append(f"  substitutes: {_members(step['substitutes'])}")
-        lines.append(f"  inner reduct: {_braces(step['inner_reduct'])}")
+        yield f"step {k}: examining {chosen}"
+        yield f"  containing: {_members(step['containing'])}"
+        yield f"  substitutes: {_members(step['substitutes'])}"
+        yield f"  inner reduct: {_braces(step['inner_reduct'])}"
         if not step["chosen_added"]:
-            lines.append(f"  dropped {chosen}")
+            yield f"  dropped {chosen}"
         elif step["blocked"] is None:
-            lines.append(f"  kept {chosen}")
+            yield f"  kept {chosen}"
         else:
-            lines.append(
-                f"  kept {chosen} (no inner attribute hits {_braces(step['blocked'])})"
-            )
-        lines.append(f"  family now: {_members(step['family_after'])}")
-    return lines
+            yield f"  kept {chosen} (no inner attribute hits {_braces(step['blocked'])})"
+        yield f"  family now: {_members(step['family_after'])}"
 
 
 def _cmd_reduct(loaded: _Loaded, config: RunConfig):
@@ -362,17 +357,15 @@ def _cmd_reduct(loaded: _Loaded, config: RunConfig):
     return result, []
 
 
-def _text_reduct(loaded: _Loaded, result: dict) -> list[str]:
-    lines = [
-        f"algorithm: {result['algorithm']}  selection: {result['policy']}",
-        f"reduct: {_braces(result['reduct'])}",
-    ]
+def _text_reduct(loaded: _Loaded, result: dict) -> Iterator[str]:
+    yield f"algorithm: {result['algorithm']}  selection: {result['policy']}"
+    yield f"reduct: {_braces(result['reduct'])}"
     if "raw" in result:
-        lines.append(f"raw result before minimization: {_braces(result['raw'])}")
-    lines.append(f"valid: {'yes' if result['valid'] else 'no'}")
+        yield f"raw result before minimization: {_braces(result['raw'])}"
+    yield f"valid: {'yes' if result['valid'] else 'no'}"
     if "trace" in result:
-        lines += [""] + _trace_lines(result["algorithm"], result["trace"])
-    return lines
+        yield ""
+        yield from _trace_lines(result["algorithm"], result["trace"])
 
 
 def _cap_warning(
@@ -405,8 +398,9 @@ def _cmd_all_reducts(loaded: _Loaded, config: RunConfig):
     return result, warnings
 
 
-def _text_all_reducts(loaded: _Loaded, result: dict) -> list[str]:
-    return [f"{result['count']} reduct(s)"] + [_braces(r) for r in result["reducts"]]
+def _text_all_reducts(loaded: _Loaded, result: dict) -> Iterator[str]:
+    yield f"{result['count']} reduct(s)"
+    yield from map(_braces, result["reducts"])
 
 
 def _cmd_relations(loaded: _Loaded, config: RunConfig):
@@ -439,17 +433,12 @@ def _cmd_relations(loaded: _Loaded, config: RunConfig):
     return result, []
 
 
-def _text_relations(loaded: _Loaded, result: dict) -> list[str]:
-    lines = [
-        f"{key}: " + ("; ".join(f"{x} {verb} {y}" for x, y in result[key]) or "(none)")
-        for key, verb in (("finer", "refines"), ("equivalent", "~"), ("coupled", "with"))
-    ]
+def _text_relations(loaded: _Loaded, result: dict) -> Iterator[str]:
+    for key, verb in (("finer", "refines"), ("equivalent", "~"), ("coupled", "with")):
+        yield f"{key}: " + ("; ".join(f"{x} {verb} {y}" for x, y in result[key]) or "(none)")
     for entry in result["exclusions"]:
         verdict = "yes" if entry["excluded"] else "no"
-        lines.append(
-            f"excludes {entry['attribute']} given {_braces(entry['given'])}: {verdict}"
-        )
-    return lines
+        yield f"excludes {entry['attribute']} given {_braces(entry['given'])}: {verdict}"
 
 
 def _cmd_audit(loaded: _Loaded, config: RunConfig):
@@ -479,25 +468,23 @@ def _cmd_audit(loaded: _Loaded, config: RunConfig):
     return result, warnings
 
 
-def _text_audit(loaded: _Loaded, result: dict) -> list[str]:
+def _text_audit(loaded: _Loaded, result: dict) -> Iterator[str]:
     claims = sorted(result["claims"].items())
-    lines = []
     for claim, rows in claims:
         bad = sum(1 for row in rows if not row["agree"])
         state = "all agree" if bad == 0 else f"{bad} disagreement(s)"
-        lines.append(f"{claim}: {len(rows)} instance(s), {state}")
-    lines.append("")
+        yield f"{claim}: {len(rows)} instance(s), {state}"
+    yield ""
     if result["all_agree"]:
-        lines.append("every audited claim agrees on this table")
+        yield "every audited claim agrees on this table"
     for claim, rows in claims:
         for row in rows:
             if not row["agree"]:
-                lines.append(
+                yield (
                     f"disagreement: {claim} at {row['subject']} "
                     f"(lhs={row['lhs']}, rhs={row['rhs']})"
                 )
-                lines.append(f"  {row['counterexample']}")
-    return lines
+                yield f"  {row['counterexample']}"
 
 
 _SINGLETON_CHECKS = ("in_cover", "minimal_is_singleton", "lower_is_self", "minimal_is_lower")
@@ -531,7 +518,7 @@ def _cmd_covering(loaded: _Loaded, config: RunConfig):
     return result, warnings
 
 
-def _text_covering(loaded: _Loaded, result: dict) -> list[str]:
+def _text_covering(loaded: _Loaded, result: dict) -> Iterator[str]:
     grid = [["attribute", "minimal description", "neighborhood",
              "in cover", "single minimal", "lower is self", "minimal is lower"]]
     for name, element in result["elements"].items():
@@ -543,48 +530,46 @@ def _text_covering(loaded: _Loaded, result: dict) -> list[str]:
             ]
             + ["yes" if element[check] else "no" for check in _SINGLETON_CHECKS]
         )
-    return _pad(grid) if len(grid) > 1 else ["(empty covering space)"]
+    yield from _pad(grid) if len(grid) > 1 else ["(empty covering space)"]
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dump(obj, nl: str, parts: list[str], out) -> None:
-    """Append ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
-    prints it to ``parts``.
+def _dump(obj, nl: str, out) -> None:
+    """Write ``obj`` to the text stream ``out`` as ``json.dumps(obj,
+    indent=2, sort_keys=True)`` prints it, each piece as it is made.
 
     ``nl`` is a newline followed by the indentation of ``obj``'s own line.
     Only the shapes the builders emit are known: dicts with str keys,
     lists and tuples, str, int, bool and None, each of exactly that type,
     and ``_PairRecords``.  Anything else raises TypeError, except that a
     str subclass inside a list or as a key passes the C encoder and comes
-    out as the stdlib writes it.  A list of strings is written with one
-    C-level join, and a dict's value that is a non-empty list of strings is
-    written in place.  ``_PairRecords`` alone is streamed: ``parts`` so far
-    goes to ``out`` as one string with the first pair's record, then every
-    later record as a string of its own, and ``parts`` goes on from the
-    list's close.
+    out as the stdlib writes it.  A list of strings is one piece, made by
+    one C-level join, and a dict's value that is a non-empty list of
+    strings is written in place; any other container goes out item by
+    item, so no piece holds more than one such list.
     """
     kind = type(obj)
     if kind is str:
-        parts.append(_encode_str(obj))
+        out.write(_encode_str(obj))
     elif kind is list or kind is tuple:
         if not obj:
-            parts.append("[]")
+            out.write("[]")
             return
         inner = nl + "  "
         try:
-            parts.append("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
+            out.write("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
         except TypeError:  # not all strings
-            parts.append("[" + inner)
+            out.write("[" + inner)
             for k, item in enumerate(obj):
                 if k:
-                    parts.append("," + inner)
-                _dump(item, inner, parts, out)
-            parts.append(nl + "]")
+                    out.write("," + inner)
+                _dump(item, inner, out)
+            out.write(nl + "]")
     elif kind is dict:
         if not obj:
-            parts.append("{}")
+            out.write("{}")
             return
         inner = nl + "  "
         item = inner + "  "
@@ -596,39 +581,35 @@ def _dump(obj, nl: str, parts: list[str], out) -> None:
             opener = "," + inner
             if type(value) is list and value:
                 try:
-                    parts.append(head + "[" + item + sep.join(map(_encode_str, value)) + inner + "]")
+                    out.write(head + "[" + item + sep.join(map(_encode_str, value)) + inner + "]")
                     continue
                 except TypeError:  # not all strings
                     pass
-            parts.append(head)
-            _dump(value, inner, parts, out)
-        parts.append(nl + "}")
+            out.write(head)
+            _dump(value, inner, out)
+        out.write(nl + "}")
     elif obj is None:
-        parts.append("null")
+        out.write("null")
     elif kind is bool:
-        parts.append("true" if obj else "false")
+        out.write("true" if obj else "false")
     elif kind is int:
-        parts.append(int.__repr__(obj))
+        out.write(int.__repr__(obj))
     elif kind is _PairRecords:
-        _dump_pairs(obj, nl, parts, out)
+        _dump_pairs(obj, nl, out)
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
-def _dump_pairs(records: _PairRecords, nl: str, parts: list[str], out) -> None:
+def _dump_pairs(records: _PairRecords, nl: str, out) -> None:
     """``_dump`` for the ``matrix`` pairs, one write per pair record.
 
     Each entry's attribute list and each label is encoded once, at its
-    final indentation, so a record costs one join of three strings.  A
-    record is a short string, so streaming makes no allocation that grows
-    with the table.  (Batched by object row, tens of kB at a time, the
-    pieces left holes of varying size in the C heap, and the peak memory
-    of a process collecting many matrices in an ``io.StringIO`` varied
-    from run to run by about one document.)
+    final indentation, so a record costs one join of three strings, and no
+    piece grows with the table.
     """
     labels = [_encode_str(label) for label in records.labels]
     if len(labels) < 2:
-        parts.append("[]")
+        out.write("[]")
         return
     record = nl + "  "  # each record's line
     key = record + "  "  # its keys
@@ -646,15 +627,13 @@ def _dump_pairs(records: _PairRecords, nl: str, parts: list[str], out) -> None:
     rows = zip(range(len(labels) - 1), records.entry_rows())
     _, row = next(rows)
     first = labels[0] + "," + item
-    parts.append("[" + record + "{" + key + head[next(row)] + first + labels[1])
-    out.write("".join(parts))
-    parts.clear()
+    out.write("[" + record + "{" + key + head[next(row)] + first + labels[1])
     out.writelines(map("".join, zip(map(after.__getitem__, row), repeat(first), labels[2:])))
     for i, row in rows:
         first = labels[i] + "," + item
         texts = map("".join, zip(map(after.__getitem__, row), repeat(first), labels[i + 1 :]))
         out.writelines(texts)
-    parts.append(key + "]" + record + "}" + nl + "]")
+    out.write(key + "]" + record + "}" + nl + "]")
 
 
 # Each subcommand: a builder returning (result, warnings) and a renderer
@@ -672,7 +651,8 @@ _COMMANDS = {
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one subcommand and write its report to the text stream
-    ``out`` (its ``write`` and ``writelines``)."""
+    ``out`` (its ``write`` and ``writelines``), each JSON piece or text
+    line as it is made."""
     out = out if out is not None else sys.stdout
     loaded, warnings = _load(config)
     build, render = _COMMANDS[config.command]
@@ -686,10 +666,8 @@ def run(config: RunConfig, out=None) -> int:
             "result": result,
             "warnings": warnings,
         }
-        parts: list[str] = []
-        _dump(report, "\n", parts, out)
-        parts.append("\n")
-        out.write("".join(parts))
+        _dump(report, "\n", out)
+        out.write("\n")
     else:
         for line in render(loaded, result):
             out.write(line + "\n")
@@ -839,11 +817,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _discard_stdout() -> None:
+    """Point fd 1 at the null device, so the interpreter's last flush of
+    the output a failed write left behind cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor to redirect
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return run(_config_from_args(args))
+        code = run(_config_from_args(args))
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except InputError as err:
@@ -855,6 +847,13 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"reducts: refusing to run: {err}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("reducts: out of memory; any output written is incomplete", file=sys.stderr)
+        return 3
+    except OSError as err:  # reading the input raises InputError instead
+        print(f"reducts: error: cannot write output: {err.strerror}", file=sys.stderr)
+        _discard_stdout()
+        return 1
 
 
 if __name__ == "__main__":

@@ -51,8 +51,7 @@ class SetFamily:
 
     Member order is first appearance and is preserved by every derived
     subfamily, since the row-wise reducer is sensitive to it.  Two families
-    with the same members in any order compare equal and hash alike; use
-    ``canonical`` when a display order independent of history is wanted.
+    with the same members in any order compare equal and hash alike.
     """
 
     def __init__(self, members: Iterable[Iterable[int]]) -> None:
@@ -83,10 +82,6 @@ class SetFamily:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._index))
-
-    @property
-    def canonical(self) -> tuple[AttrSet, ...]:
-        return tuple(sorted(self._index, key=canonical_key))
 
     def universe(self) -> AttrSet:
         return frozenset().union(*self._index)

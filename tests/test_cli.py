@@ -101,6 +101,25 @@ def run_json(capsys, argv):
     return parsed
 
 
+class _ByteCounter(io.TextIOBase):
+    """A text stream that keeps nothing but the UTF-8 size of what it got."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text.encode("utf-8"))
+
+
+def _traced_peak(config: RunConfig, out) -> int:
+    """The traced heap peak of ``run(config, out)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert run(config, out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestClassify:
     def test_example_characters(self, capsys, triple_csv):
         report = run_json(capsys, ["classify", "--format", "json", triple_csv])
@@ -128,6 +147,21 @@ class TestClassify:
     def test_family_input(self, capsys, walkthrough_json):
         report = run_json(capsys, ["classify", "--format", "json", walkthrough_json])
         assert sorted(report["result"]["characters"]) == list("abcdef")
+
+    def test_json_holds_one_member_at_a_time(self, tmp_path):
+        """On 60 ternary objects and 16 attributes the document is about
+        8 MB, each member written once per attribute whose families hold
+        it; the traced heap peak stays under half of it (the whole
+        document, or its pieces, would be larger than the text)."""
+        rng = random.Random(1)
+        path = tmp_path / "wide.csv"
+        lines = [",".join(f"attribute_{k}" for k in range(16))]
+        lines += [",".join(rng.choice("012") for _ in range(16)) for _ in range(60)]
+        path.write_text("\n".join(lines) + "\n")
+        sink = _ByteCounter()
+        peak = _traced_peak(RunConfig(path=str(path), kind="table", command="classify", fmt="json"), sink)
+        assert sink.size > 5_000_000
+        assert peak < sink.size / 2, (peak, sink.size)
 
 
 class TestMatrix:
@@ -228,28 +262,16 @@ class TestMatrix:
         lines += [",".join(rng.choice("01") for _ in range(8)) for _ in range(1000)]
         path.write_text("\n".join(lines) + "\n")
 
-        class Sink(io.TextIOBase):
-            size = 0
-
-            def write(self, text):
-                self.size += len(text.encode("utf-8"))
-
-        sink = Sink()
-        config = RunConfig(path=str(path), kind="table", command="matrix")
-        tracemalloc.start()
-        try:
-            assert run(config, sink) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sink = _ByteCounter()
+        peak = _traced_peak(RunConfig(path=str(path), kind="table", command="matrix"), sink)
         assert sink.size > 10_000_000
         assert peak < sink.size / 20, (peak, sink.size)
 
     def test_json_holds_one_record_at_a_time(self, tmp_path):
         """On 1000 binary objects the document is about 89 MB; the traced
         heap peak stays under a twentieth of it (the whole document, or
-        every pair record, would be several times its size).  After the
-        first write, each write is one pair's record, or the close."""
+        every pair record, would be several times its size).  Each pair's
+        record goes out in a write of its own, and no write is long."""
         rng = random.Random(12)
         path = tmp_path / "tall.csv"
         lines = [",".join(f"a{k}" for k in range(8))]
@@ -257,25 +279,18 @@ class TestMatrix:
         path.write_text("\n".join(lines) + "\n")
 
         class Sink(io.TextIOBase):
-            size = writes = longest = 0  # longest: of the writes after the first
+            size = records = longest = 0
 
             def write(self, text):
-                if self.writes:
-                    self.longest = max(self.longest, len(text))
-                self.writes += 1
+                self.records += '"objects"' in text
+                self.longest = max(self.longest, len(text))
                 self.size += len(text)
 
         sink = Sink()
-        config = RunConfig(path=str(path), kind="table", command="matrix", fmt="json")
-        tracemalloc.start()
-        try:
-            assert run(config, sink) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(RunConfig(path=str(path), kind="table", command="matrix", fmt="json"), sink)
         assert sink.size > 80_000_000
         assert peak < sink.size / 20, (peak, sink.size)
-        assert sink.writes == 1000 * 999 // 2 + 1
+        assert sink.records == 1000 * 999 // 2
         assert sink.longest < 256  # a record naming all 8 attributes
 
 
@@ -793,16 +808,58 @@ class TestRunApi:
             RunConfig(path=triple_csv, kind="table", command="matrix", max_objects=0)
 
 
+# Runs ``python -m reducts`` with fd 1 opened on ``sys.argv[1]``, or on a
+# pipe whose reader is gone; stdout is buffered, so a failed write leaves
+# output behind for the interpreter's last flush.
+_WITH_STDOUT = """
+import os, sys
+if sys.argv[1] == "closed-pipe":
+    reader, fd = os.pipe()
+    os.close(reader)
+else:
+    fd = os.open(sys.argv[1], os.O_WRONLY)
+os.dup2(fd, 1)
+env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+os.execve(sys.executable, [sys.executable, "-m", "reducts", *sys.argv[2:]], env)
+"""
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_pipe_exits_one(self, triple_csv, fmt):
+        argv = ["classify", "--format", fmt, triple_csv]
+        done = run_child([sys.executable, "-c", _WITH_STDOUT, "closed-pipe", *argv])
+        assert done.returncode == 1
+        assert done.stderr == "reducts: error: cannot write output: Broken pipe\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_full_device_exits_one(self, triple_csv, fmt):
+        argv = ["classify", "--format", fmt, triple_csv]
+        done = run_child([sys.executable, "-c", _WITH_STDOUT, "/dev/full", *argv])
+        assert done.returncode == 1
+        assert done.stderr == "reducts: error: cannot write output: No space left on device\n"
+
+    def test_memory_error_exits_three(self, capsys, monkeypatch, triple_csv):
+        def exhausted(loaded, config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", (exhausted, cli._text_classify))
+        code, out, err = run_cli(capsys, ["classify", triple_csv])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("reducts: out of memory")
+
+
 def _stdlib_dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
 def _written(value) -> str:
-    """What the CLI's JSON writer makes of ``value``; no shape these tests
-    draw is streamed, so nothing reaches the writer's sink."""
-    parts: list[str] = []
-    cli._dump(value, "\n", parts, None)
-    return "".join(parts)
+    """What the CLI's JSON writer makes of ``value``."""
+    out = io.StringIO()
+    cli._dump(value, "\n", out)
+    return out.getvalue()
 
 
 _TRICKY_STRINGS = st.sampled_from(

@@ -38,7 +38,7 @@ class TestSetFamily:
 
     def test_canonical_sorts_by_size_then_elements(self):
         f = fam({1, 2}, {3}, {0, 1}, {0})
-        assert f.canonical == (
+        assert tuple(sorted(f, key=canonical_key)) == (
             frozenset({0}),
             frozenset({3}),
             frozenset({0, 1}),
@@ -236,7 +236,7 @@ class TestContainingAndSubstitutes:
             frozenset({0, 2, 3}),
         )
         e = substitute_sets(f, 3)
-        assert e.canonical == (
+        assert tuple(sorted(e, key=canonical_key)) == (
             frozenset({0, 1}),
             frozenset({0, 2}),
             frozenset({1, 2}),
