@@ -64,8 +64,6 @@ VARIANTS = (
     ["reduct", "--algo", "yao", "--verbose"],
     ["reduct", "--select", "freq"],
     ["reduct", "--select", "freq", "--verbose"],
-    ["reduct", "--no-minimize"],
-    ["reduct", "--no-minimize", "--verbose"],
     ["all-reducts"],
     ["relations"],
     ["relations", "--excludes", "a1->a2", "--excludes", "a2,a3->a1"],

@@ -88,7 +88,7 @@ def main() -> int:
 
         family = discernibility_matrix(system).family
         for policy in (SelectionPolicy.FIRST, SelectionPolicy.MAX_FREQUENCY):
-            raw, _ = ea_reduce(family, policy, minimize=False)
+            raw = ea_reduce(family, policy)[1].before_minimize
             raw_status[verify_reduct(family, raw).status.value] += 1
 
     print(f"{args.systems} random tables, seed {args.seed}, "

@@ -1,48 +1,20 @@
 #!/usr/bin/env python3
 """Drive the CLI over the bundled worked tables and print everything.
 
-Writes the inputs to a temporary directory and calls the console entry
-point on them, so the output below is exactly what a user would see.
+Runs the console entry point on the worked inputs under ``tests/golden/``,
+the same files the golden tests pin, so the output below is exactly what
+a user would see.
+
+    PYTHONPATH=src python3 scripts/reproduce_worked_examples.py
 """
 
 from __future__ import annotations
 
-import json
-import tempfile
 from pathlib import Path
 
 from reducts.cli import main
 
-FIVE_BY_FOUR = "\n".join(
-    [
-        "a1,a2,a3,a4",
-        "0,0,0,0",
-        "0,0,0,0",
-        "1,0,1,0",
-        "1,1,0,0",
-        "2,1,1,1",
-    ]
-)
-
-LADDER_FAMILY = [
-    ["a3"],
-    ["a2", "a3"],
-    ["a1", "a2", "a3"],
-    ["a1", "a2"],
-    ["a1", "a3"],
-]
-
-WALKTHROUGH_FAMILY = [
-    ["a", "b", "f"],
-    ["a", "c"],
-    ["a", "d"],
-    ["c", "d", "f"],
-    ["b", "d"],
-    ["b", "c"],
-    ["b", "e", "f"],
-    ["c", "e"],
-    ["d", "e"],
-]
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 
 
 def banner(text: str) -> None:
@@ -52,35 +24,31 @@ def banner(text: str) -> None:
 
 
 def run() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        table = Path(tmp) / "five_by_four.csv"
-        table.write_text(FIVE_BY_FOUR + "\n")
-        ladder = Path(tmp) / "ladder.json"
-        ladder.write_text(json.dumps(LADDER_FAMILY))
-        walkthrough = Path(tmp) / "walkthrough.json"
-        walkthrough.write_text(json.dumps(WALKTHROUGH_FAMILY))
+    table = str(GOLDEN / "five_by_four.csv")
+    ladder = str(GOLDEN / "ladder.json")
+    walkthrough = str(GOLDEN / "walkthrough.json")
 
-        failures = 0
-        banner("five-object table: discernibility matrix")
-        failures += main(["matrix", str(table)])
-        banner("five-object table: attribute classification")
-        failures += main(["classify", str(table)])
-        banner("five-object table: all reducts")
-        failures += main(["all-reducts", str(table)])
-        banner("five-object table: audited claims")
-        failures += main(["audit", str(table)])
-        banner("five-object table: covering view")
-        failures += main(["covering", str(table)])
+    failures = 0
+    banner("five-object table: discernibility matrix")
+    failures += main(["matrix", table])
+    banner("five-object table: attribute classification")
+    failures += main(["classify", table])
+    banner("five-object table: all reducts")
+    failures += main(["all-reducts", table])
+    banner("five-object table: audited claims")
+    failures += main(["audit", table])
+    banner("five-object table: covering view")
+    failures += main(["covering", table])
 
-        banner("ladder family: all reducts")
-        failures += main(["all-reducts", str(ladder)])
-        banner("ladder family: does {a2} shut a1 out?")
-        failures += main(["relations", str(ladder), "--excludes", "a2->a1"])
+    banner("ladder family: all reducts")
+    failures += main(["all-reducts", ladder])
+    banner("ladder family: does {a2} shut a1 out?")
+    failures += main(["relations", ladder, "--excludes", "a2->a1"])
 
-        banner("nine-member family: substitute-family reduction, traced")
-        failures += main(["reduct", str(walkthrough), "--algo", "ea", "--verbose"])
-        banner("nine-member family: row-wise reduction for comparison")
-        failures += main(["reduct", str(walkthrough), "--algo", "yao", "--verbose"])
+    banner("nine-member family: substitute-family reduction, traced")
+    failures += main(["reduct", walkthrough, "--algo", "ea", "--verbose"])
+    banner("nine-member family: row-wise reduction for comparison")
+    failures += main(["reduct", walkthrough, "--algo", "yao", "--verbose"])
 
     return 1 if failures else 0
 

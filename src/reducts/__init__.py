@@ -21,7 +21,6 @@ from .covering import (
     cov_lower,
     covering_from_family,
     minimal_description,
-    neighborhood,
     singleton_equivalences,
 )
 from .discern import (
@@ -42,7 +41,6 @@ from .model import (
     InformationSystem,
     Partition,
     indiscernibility_partition,
-    is_consistent,
     load_table,
     refines,
     set_names,
@@ -80,7 +78,6 @@ __all__ = [
     "cov_lower",
     "covering_from_family",
     "minimal_description",
-    "neighborhood",
     "singleton_equivalences",
     "Absorption",
     "DiscernibilityMatrix",
@@ -99,7 +96,6 @@ __all__ = [
     "InformationSystem",
     "Partition",
     "indiscernibility_partition",
-    "is_consistent",
     "load_table",
     "refines",
     "set_names",

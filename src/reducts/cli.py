@@ -44,7 +44,6 @@ from .discern import SetFamily, discernibility_matrix, family_from_names, reduct
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .model import InformationSystem, load_table, set_names
 from .reducers import (
-    ReductStatus,
     ReductTrace,
     SelectionPolicy,
     all_reducts_bruteforce,
@@ -70,7 +69,6 @@ class RunConfig:
     command: str
     policy: SelectionPolicy = SelectionPolicy.FIRST
     algorithm: str = "ea"
-    minimize: bool = True
     verbose: bool = False
     max_attrs: int | None = None
     max_objects: int | None = None
@@ -322,24 +320,16 @@ def _trace_lines(algorithm: str, steps: list[dict]) -> Iterator[str]:
         yield f"  inner reduct: {_braces(step['inner_reduct'])}"
         if not step["chosen_added"]:
             yield f"  dropped {chosen}"
-        elif step["blocked"] is None:
-            yield f"  kept {chosen}"
         else:
             yield f"  kept {chosen} (no inner attribute hits {_braces(step['blocked'])})"
         yield f"  family now: {_members(step['family_after'])}"
 
 
 def _cmd_reduct(loaded: _Loaded, config: RunConfig):
-    if config.algorithm == "yao":
-        reduct, trace = yao_row_wise(loaded.family, config.policy)
-    else:
-        reduct, trace = ea_reduce(
-            loaded.family, config.policy, minimize=config.minimize
-        )
+    reduce = yao_row_wise if config.algorithm == "yao" else ea_reduce
+    reduct, trace = reduce(loaded.family, config.policy)
     check = verify_reduct(loaded.family, reduct)
-    # Skipping ea's final trim may leave a redundant attribute, never a miss.
-    trim_skipped = trace.algorithm == "ea" and not trace.minimized
-    if not (check.is_valid or (trim_skipped and check.status is ReductStatus.NOT_MINIMAL)):
+    if not check.is_valid:
         raise InvariantViolation(
             f"{trace.algorithm} produced {_braces(loaded.set_names(reduct))}, "
             f"which fails verification: {check.status.value}"
@@ -350,7 +340,7 @@ def _cmd_reduct(loaded: _Loaded, config: RunConfig):
         "reduct": loaded.set_names(reduct),
         "valid": check.is_valid,
     }
-    if trace.minimized and trace.before_minimize != reduct:
+    if trace.before_minimize != reduct:
         result["raw"] = loaded.set_names(trace.before_minimize)
     if config.verbose:
         result["trace"] = _trace_json(loaded, trace)
@@ -739,11 +729,6 @@ def _build_parser() -> _Parser:
         help="attribute selection policy",
     )
     reduct.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="skip the final minimization pass (ea only)",
-    )
-    reduct.add_argument(
         "--verbose", action="store_true", help="include the step-by-step trace"
     )
     all_reducts = sub.add_parser(
@@ -757,7 +742,8 @@ def _build_parser() -> _Parser:
     relations = sub.add_parser(
         "relations",
         parents=[common],
-        help="survey refinement, equivalence, and coupling between attributes",
+        help="survey refinement, equivalence, and coupling between attributes "
+        "(at most 20 attributes)",
     )
     relations.add_argument(
         "--excludes",
@@ -807,7 +793,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         policy=policy,
         algorithm=getattr(args, "algo", "ea"),
-        minimize=not getattr(args, "no_minimize", False),
         verbose=getattr(args, "verbose", False),
         max_attrs=getattr(args, "max_attrs", None),
         max_objects=args.max_objects,
@@ -833,6 +818,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if sys.stdout is None:  # started with fd 1 closed
+            print("reducts: error: cannot write output: standard output is closed",
+                  file=sys.stderr)
+            return 1
         code = run(_config_from_args(args))
         sys.stdout.flush()
         return code

@@ -20,7 +20,6 @@ __all__ = [
     "SingletonChecks",
     "covering_from_family",
     "minimal_description",
-    "neighborhood",
     "cov_lower",
     "singleton_equivalences",
 ]
@@ -81,11 +80,6 @@ def _containing(space: CoveringSpace, x: int) -> SetFamily:
 def minimal_description(space: CoveringSpace, x: int) -> SetFamily:
     """The inclusion-minimal cover members containing ``x``, in cover order."""
     return absorb(_containing(space, x)).minimal
-
-
-def neighborhood(space: CoveringSpace, x: int) -> AttrSet:
-    """Intersection of every cover member containing ``x``."""
-    return frozenset.intersection(*_containing(space, x))
 
 
 def cov_lower(space: CoveringSpace, x: AttrSet) -> AttrSet:

@@ -24,7 +24,6 @@ __all__ = [
     "Partition",
     "indiscernibility_partition",
     "refines",
-    "is_consistent",
     "load_table",
     "set_names",
 ]
@@ -53,6 +52,8 @@ class InformationSystem:
             raise InputError("an information system needs at least one attribute")
         if not self.rows:
             raise InputError("an information system needs at least one object")
+        if "" in self.attributes:
+            raise InputError("empty attribute name")
         if len(set(self.attributes)) != len(self.attributes):
             raise InputError("duplicate attribute names")
         if len(self.labels) != len(self.rows):
@@ -149,13 +150,6 @@ def refines(finer: Partition, coarser: Partition) -> bool:
         if len(owners) != 1:
             return False
     return True
-
-
-def is_consistent(system: InformationSystem, attrs: AttrSet) -> bool:
-    """True when ``attrs`` distinguishes exactly what the full attribute set does."""
-    return indiscernibility_partition(system, attrs) == indiscernibility_partition(
-        system, system.all_attrs()
-    )
 
 
 def set_names(attrs: Iterable[int], names: Sequence[str]) -> list[str]:

@@ -156,15 +156,15 @@ class SubstituteStep:
 class ReductTrace:
     """Replayable record of a reduction run.
 
-    ``before_minimize`` keeps the raw loop output even when a final
-    minimization pass altered ``result``.
+    ``before_minimize`` is the loop output before ``ea``'s final trim; it
+    differs from ``result`` exactly when the trim dropped an attribute,
+    and ``yao`` has no trim, so there the two are equal.
     """
 
     algorithm: str
     steps: tuple[RowwiseStep | SubstituteStep, ...]
     result: AttrSet
     before_minimize: AttrSet
-    minimized: bool
 
 
 def yao_row_wise(
@@ -211,28 +211,19 @@ def yao_row_wise(
         steps.append(RowwiseStep(i, absorbed, a, tuple(entries)))
 
     result = frozenset(chosen_attrs)
-    trace = ReductTrace(
-        algorithm="yao",
-        steps=tuple(steps),
-        result=result,
-        before_minimize=result,
-        minimized=False,
-    )
-    return result, trace
+    return result, ReductTrace("yao", tuple(steps), result, result)
 
 
-def ea_reduce(
-    family: SetFamily, policy: SelectionPolicy, minimize: bool = True
-) -> tuple[AttrSet, ReductTrace]:
+def ea_reduce(family: SetFamily, policy: SelectionPolicy) -> tuple[AttrSet, ReductTrace]:
     """Build a hitting set attribute by attribute via substitute families.
 
     Each round picks an attribute from the canonically first member of the
     current family, covers that attribute's containing sets with a reduct
     of its substitute sets (adding the attribute itself only when some
     containing set stays unhit), then discards everything the containing
-    sets spanned.  The loop output hits the original family; the optional
-    final pass (on by default) drops redundant attributes, highest index
-    first, making the result a verified reduct.
+    sets spanned.  The loop output hits the original family, and the trace
+    keeps it as ``before_minimize``; a final pass drops its redundant
+    attributes, highest index first, making the result a reduct.
     """
     result: set[int] = set()
     current = family
@@ -263,16 +254,8 @@ def ea_reduce(
         )
 
     raw = frozenset(result)
-    final = set(raw)
-    if minimize:
-        for a in sorted(final, reverse=True):
-            if hits_all(frozenset(final - {a}), family):
-                final.remove(a)
-    trace = ReductTrace(
-        algorithm="ea",
-        steps=tuple(steps),
-        result=frozenset(final),
-        before_minimize=raw,
-        minimized=minimize,
-    )
-    return frozenset(final), trace
+    for a in sorted(raw, reverse=True):
+        if hits_all(frozenset(result - {a}), family):
+            result.remove(a)
+    final = frozenset(result)
+    return final, ReductTrace("ea", tuple(steps), final, raw)

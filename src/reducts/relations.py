@@ -211,7 +211,8 @@ class _Auditor:
         self.e_masks = {
             a: [self._mask(k) for k in ev.substitutes] for a, ev in evidence.items()
         }
-        self.reducts = all_reducts_bruteforce(family, self.universe)
+        # The audit has checked the width against its own cap.
+        self.reducts = all_reducts_bruteforce(family, self.universe, cap=self.n)
         self.instances: list[ClaimInstance] = []
 
     @staticmethod

@@ -11,8 +11,10 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import reducts
+from reducts.covering import CoveringSpace
 from reducts.discern import SetFamily
-from reducts.model import AttrSet, InformationSystem, is_consistent
+from reducts.errors import InputError
+from reducts.model import AttrSet, InformationSystem, indiscernibility_partition
 
 # The seeded random table generator is the one ``measure_claims.py`` uses.
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -115,6 +117,21 @@ def fam(*sets) -> SetFamily:
 def is_refinement(finer: SetFamily, coarser: SetFamily) -> bool:
     """True when every member of ``coarser`` contains some member of ``finer``."""
     return all(any(m <= k for m in finer) for k in coarser)
+
+
+def is_consistent(system: InformationSystem, attrs: AttrSet) -> bool:
+    """True when ``attrs`` distinguishes exactly what the full attribute set does."""
+    return indiscernibility_partition(system, attrs) == indiscernibility_partition(
+        system, system.all_attrs()
+    )
+
+
+def neighborhood(space: CoveringSpace, x: int) -> AttrSet:
+    """Intersection of every cover member containing ``x``, straight from the
+    definition; the ``covering`` report meets only the minimal ones."""
+    if x not in space.ground:
+        raise InputError(f"element {x} is outside the ground set")
+    return frozenset.intersection(*(k for k in space.cover if x in k))
 
 
 def is_reduct(system: InformationSystem, attrs: AttrSet) -> bool:

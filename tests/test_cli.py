@@ -359,14 +359,14 @@ class TestReduct:
         assert report["result"]["reduct"] == ["a", "c", "d", "e"]
         assert report["result"]["valid"] is True
 
-    def test_no_minimize_flag(self, capsys, walkthrough_json):
-        report = run_json(
-            capsys, ["reduct", "--no-minimize", "--format", "json", walkthrough_json]
-        )
-        assert report["result"]["valid"] is True
-        assert "raw" not in report["result"]
+    def test_no_minimize_is_a_usage_error(self, capsys, walkthrough_json):
+        code, out, err = run_cli(capsys, ["reduct", "--no-minimize", walkthrough_json])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: reducts ")
+        assert err.endswith("error: unrecognized arguments: --no-minimize\n")
 
-    def test_no_minimize_may_keep_a_removable_attribute(self, capsys, tmp_path):
+    def test_raw_keeps_the_attribute_the_trim_removes(self, capsys, tmp_path):
         rows = [
             ["a1", "a2", "a4"],
             ["a2", "a3", "a5"],
@@ -377,32 +377,25 @@ class TestReduct:
         ]
         path = tmp_path / "redundant.json"
         path.write_text(json.dumps(rows))
-        report = run_json(
-            capsys, ["reduct", "--no-minimize", "--format", "json", str(path)]
-        )
-        reduct = set(report["result"]["reduct"])
-        assert report["result"]["valid"] is False
-        assert all(reduct & set(member) for member in rows)
+        result = run_json(capsys, ["reduct", "--format", "json", str(path)])["result"]
+        raw, reduct = set(result["raw"]), set(result["reduct"])
+        assert result["valid"] is True
+        assert reduct < raw
+        assert all(raw & set(member) for member in rows)
 
     @pytest.mark.parametrize(
-        "flags, candidate",
-        [
-            ([], lambda family: family.universe()),
-            ([], lambda family: frozenset()),
-            (["--no-minimize"], lambda family: frozenset()),
-        ],
-        ids=["not-minimal", "not-hitting", "not-hitting-untrimmed"],
+        "candidate",
+        [lambda family: family.universe(), lambda family: frozenset()],
+        ids=["not-minimal", "not-hitting"],
     )
-    def test_failed_verification_exits_2(
-        self, capsys, monkeypatch, walkthrough_json, flags, candidate
-    ):
+    def test_failed_verification_exits_2(self, capsys, monkeypatch, walkthrough_json, candidate):
         real = cli.ea_reduce
 
-        def broken(family, policy, minimize=True):
-            return candidate(family), real(family, policy, minimize=minimize)[1]
+        def broken(family, policy):
+            return candidate(family), real(family, policy)[1]
 
         monkeypatch.setattr(cli, "ea_reduce", broken)
-        code, out, err = run_cli(capsys, ["reduct", *flags, walkthrough_json])
+        code, out, err = run_cli(capsys, ["reduct", walkthrough_json])
         assert code == 2
         assert out == ""
         assert "fails verification" in err
@@ -576,6 +569,14 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, ["classify", str(path)])
         assert code == 1
         assert "ragged.csv" in err
+
+    def test_empty_attribute_name(self, capsys, tmp_path):
+        path = tmp_path / "unnamed.csv"
+        path.write_text("a, ,c\n0,1,2\n1,0,2\n")
+        code, out, err = run_cli(capsys, ["classify", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"reducts: error: {path}: empty attribute name\n"
 
     def test_kind_override(self, capsys, tmp_path, walkthrough_rows):
         path = tmp_path / "family.txt"
@@ -808,17 +809,20 @@ class TestRunApi:
             RunConfig(path=triple_csv, kind="table", command="matrix", max_objects=0)
 
 
-# Runs ``python -m reducts`` with fd 1 opened on ``sys.argv[1]``, or on a
-# pipe whose reader is gone; stdout is buffered, so a failed write leaves
-# output behind for the interpreter's last flush.
+# Runs ``python -m reducts`` with fd 1 closed, opened on ``sys.argv[1]``, or
+# on a pipe whose reader is gone; stdout is buffered, so a failed write
+# leaves output behind for the interpreter's last flush.
 _WITH_STDOUT = """
 import os, sys
-if sys.argv[1] == "closed-pipe":
-    reader, fd = os.pipe()
-    os.close(reader)
+if sys.argv[1] == "closed":
+    os.close(1)
 else:
-    fd = os.open(sys.argv[1], os.O_WRONLY)
-os.dup2(fd, 1)
+    if sys.argv[1] == "closed-pipe":
+        reader, fd = os.pipe()
+        os.close(reader)
+    else:
+        fd = os.open(sys.argv[1], os.O_WRONLY)
+    os.dup2(fd, 1)
 env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 os.execve(sys.executable, [sys.executable, "-m", "reducts", *sys.argv[2:]], env)
 """
@@ -839,6 +843,13 @@ class TestOutputErrors:
         done = run_child([sys.executable, "-c", _WITH_STDOUT, "/dev/full", *argv])
         assert done.returncode == 1
         assert done.stderr == "reducts: error: cannot write output: No space left on device\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_one(self, triple_csv, fmt):
+        argv = ["classify", "--format", fmt, triple_csv]
+        done = run_child([sys.executable, "-c", _WITH_STDOUT, "closed", *argv])
+        assert done.returncode == 1
+        assert done.stderr == "reducts: error: cannot write output: standard output is closed\n"
 
     def test_memory_error_exits_three(self, capsys, monkeypatch, triple_csv):
         def exhausted(loaded, config):
@@ -949,7 +960,7 @@ _ROUND_TRIP_COMMANDS = [
     ["classify"],
     ["reduct"],
     ["reduct", "--algo", "yao", "--select", "freq", "--verbose"],
-    ["reduct", "--no-minimize", "--verbose"],
+    ["reduct", "--select", "freq", "--verbose"],
     ["all-reducts"],
     ["relations"],
     ["audit"],
@@ -1067,7 +1078,7 @@ _FUZZ_COMMANDS = [
     ["matrix"],
     ["reduct"],
     ["reduct", "--algo", "yao", "--select", "freq", "--verbose"],
-    ["reduct", "--no-minimize"],
+    ["reduct", "--select", "freq"],
     ["all-reducts"],
     ["relations"],
     ["relations", "--excludes", "a1->a2"],

@@ -2,17 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fam, families
+from helpers import fam, families, neighborhood
+from reducts import cli
 from reducts.covering import (
     CoveringSpace,
     cov_lower,
     covering_from_family,
     minimal_description,
-    neighborhood,
     singleton_equivalences,
 )
 from reducts.discern import discernibility_matrix, family_from_names
 from reducts.errors import InputError
+from reducts.model import set_names
 
 
 @pytest.fixture
@@ -79,6 +80,18 @@ class TestNeighborhood:
         for k in space.cover:
             if x in k:
                 assert nb <= k
+
+    @given(families())
+    def test_covering_report_gives_the_neighborhood(self, f):
+        """The ``covering`` report's neighborhood, the meet of the minimal
+        description alone, is the meet of every member holding the element."""
+        names = tuple(f"a{i}" for i in range(5))
+        result, _ = cli._cmd_covering(cli._Loaded(names, _family=f), None)
+        space = covering_from_family(f)
+        assert sorted(result["elements"]) == set_names(space.ground, names)
+        for x in space.ground:
+            element = result["elements"][names[x]]
+            assert element["neighborhood"] == set_names(neighborhood(space, x), names)
 
 
 class TestApproximations:

@@ -27,3 +27,14 @@ def test_package_exports_every_layer_name():
     assert len(set(reducts.__all__)) == len(reducts.__all__)
     assert set(reducts.__all__) == layered - TYPE_ALIASES
     assert all(hasattr(reducts, name) for name in reducts.__all__)
+
+
+# Oracles only the tests use live in ``tests/helpers.py``, not the package.
+TEST_ONLY = {"model": "is_consistent", "covering": "neighborhood"}
+
+
+@pytest.mark.parametrize("layer", sorted(TEST_ONLY))
+def test_test_only_oracles_stay_out_of_the_package(layer):
+    name = TEST_ONLY[layer]
+    assert not hasattr(importlib.import_module(f"reducts.{layer}"), name)
+    assert not hasattr(reducts, name)

@@ -47,7 +47,7 @@ _RUNS = [
     ("five_by_four.csv", ["matrix", *_EVERY_INPUT, "relations --excludes a1,a2->a3", "audit"]),
     ("labelled.csv --id-col", ["matrix"]),
     ("ladder.json", [*_EVERY_INPUT, "relations --excludes a2->a1"]),
-    ("walkthrough.json", [*_EVERY_INPUT, "relations", "reduct --no-minimize --verbose"]),
+    ("walkthrough.json", [*_EVERY_INPUT, "relations"]),
     # Columns out of name order: printed sets still list names sorted.
     ("reversed.csv", ["audit"]),
 ]
@@ -92,6 +92,8 @@ def _digests(pinned: dict, directory: Path) -> dict[str, str]:
     corpus = differential.write_corpus(directory, pinned["seed"], pinned["tables"])
     by_name = {" ".join(argv): argv for argv in corpus}
     names = sorted(pinned["digests"])
+    missing = [name for name in names if name not in by_name]
+    assert not missing, f"pinned cases the corpus lacks: {missing}"
     results = differential.run_in(directory, [by_name[name] for name in names])
     return dict(zip(names, map(differential.digest, results)))
 
@@ -99,6 +101,12 @@ def _digests(pinned: dict, directory: Path) -> dict[str, str]:
 def test_differential_digests_match_pinned(tmp_path):
     pinned = json.loads(differential.DIGESTS.read_text(encoding="utf-8"))
     assert _digests(pinned, tmp_path) == pinned["digests"]
+
+
+def test_digests_name_the_pinned_cases_the_corpus_lacks(tmp_path):
+    pinned = {"seed": 0, "tables": 0, "digests": {"reduct --gone --format json f0.json": ""}}
+    with pytest.raises(AssertionError, match="reduct --gone --format json f0.json"):
+        _digests(pinned, tmp_path)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given
 
-from helpers import is_reduct, systems
+from helpers import is_consistent, is_reduct, systems
 from reducts.errors import InputError
 from reducts.model import (
     InformationSystem,
     Partition,
     indiscernibility_partition,
-    is_consistent,
     load_table,
     refines,
 )
@@ -42,6 +41,11 @@ class TestConstruction:
             InformationSystem.from_columns(["a", "b"], [[0, 1]])
         with pytest.raises(InputError):
             InformationSystem.from_columns(["a", "b"], [[0, 1], [0]])
+
+    @pytest.mark.parametrize("header", ["a,,c", "a, ,c", "a,b,"])
+    def test_rejects_an_empty_attribute_name(self, header):
+        with pytest.raises(InputError, match="empty attribute name"):
+            load_table(f"{header}\n0,1,2\n")
 
 
 class TestPartition:

@@ -141,7 +141,6 @@ class TestYaoRowWise:
         result, trace = yao_row_wise(f, policy)
         assert verify_reduct(f, result).is_valid
         assert trace.result == trace.before_minimize == result
-        assert not trace.minimized
 
     @given(families(max_attrs=5), st.sampled_from(POLICIES))
     def test_oracle_membership(self, f, policy):
@@ -198,7 +197,6 @@ class TestEaReduce:
         assert second.a_added and second.blocked == frozenset({4})
         assert len(second.family_after) == 0
         assert trace.before_minimize == frozenset({0, 1, 2, 4})
-        assert trace.minimized
 
     def test_triple(self, triple_family):
         oracle = all_reducts_bruteforce(triple_family, triple_family.universe())
@@ -217,12 +215,6 @@ class TestEaReduce:
         assert result == frozenset()
         assert trace.steps == ()
 
-    def test_no_minimize_keeps_raw_output(self, walkthrough_family):
-        result, trace = ea_reduce(walkthrough_family, SelectionPolicy.FIRST, minimize=False)
-        assert result == trace.before_minimize
-        assert not trace.minimized
-        assert hits_all(result, walkthrough_family)
-
     @given(families(), st.sampled_from(POLICIES))
     def test_minimized_output_is_a_valid_reduct(self, f, policy):
         result, trace = ea_reduce(f, policy)
@@ -231,8 +223,8 @@ class TestEaReduce:
 
     @given(families(), st.sampled_from(POLICIES))
     def test_raw_output_hits_the_original_family(self, f, policy):
-        result, _ = ea_reduce(f, policy, minimize=False)
-        assert hits_all(result, f)
+        _, trace = ea_reduce(f, policy)
+        assert hits_all(trace.before_minimize, f)
 
     @given(families(max_attrs=5), st.sampled_from(POLICIES))
     def test_oracle_membership(self, f, policy):

@@ -311,6 +311,24 @@ class TestAudit:
             audit_theorems(system)
         assert audit_theorems(system, max_attrs=11) is not None
 
+    def test_raised_cap_reaches_the_reduct_enumeration(self, monkeypatch):
+        caps = []
+
+        class Stop(Exception):
+            pass
+
+        def enumerate_reducts(family, universe, cap=20):
+            caps.append(cap)
+            raise Stop  # the 2^21 scan itself is not run
+
+        monkeypatch.setattr(relations, "all_reducts_bruteforce", enumerate_reducts)
+        system = InformationSystem.from_columns(
+            [f"c{i}" for i in range(21)], [[0, 1]] * 21
+        )
+        with pytest.raises(Stop):
+            audit_theorems(system, max_attrs=25)
+        assert caps == [21]
+
     @given(systems(max_objects=6, max_attrs=4))
     def test_proven_claims_never_disagree(self, system):
         report = audit_theorems(system)
