@@ -245,6 +245,8 @@ def family_from_names(
         row = tuple(row)
         if not all(isinstance(n, str) and n for n in row):
             raise InputError("family members must be non-empty strings")
+        if any(n.isspace() for n in row):
+            raise InputError("blank attribute name in family input")
         if not row:
             raise InputError("empty member in family input")
         as_sets.append(frozenset(row))

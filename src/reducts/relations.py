@@ -1,4 +1,4 @@
-"""Inter-attribute relations and an exhaustive audit of quantified claims.
+"""Inter-attribute relations and an audit of quantified claims.
 
 Four relations are computed from their definitions: one attribute refining
 another, two attributes inducing the same partition, two attributes being
@@ -7,13 +7,17 @@ excluding an attribute from any reduct extending it.  One survey reads
 refinement and equivalence off N(a), the members holding each attribute,
 built once per attribute; on a table the survey is cross-checked against
 the single-attribute partitions, built once as well.  The audit then
-measures, by brute quantifier enumeration on a concrete table, a catalog
-of equivalence claims connecting these relations to the containing and
-substitute families.  Audited claims are measured, never trusted: each
-instance records both sides and, on mismatch, a concrete counterexample.
-Every transfer claim is one scan for a C that hits a premise list of
-members and misses one of a conclusion list.  A claim about C padded by a
-fixed set passes, on the padded side, only the members the pad misses.
+measures, on a concrete table, a catalog of equivalence claims connecting
+these relations to the containing and substitute families.  Audited
+claims are measured, never trusted: each instance records both sides and,
+on mismatch, a concrete counterexample.  Every transfer claim asks whether
+some C hits every member of a premise list yet misses one of a conclusion
+list.  That holds exactly when some conclusion member contains no premise
+member, the refinement test E(a) against N(a) that the paper's characters
+rest on, so the audit decides each claim by that test.  It scans all 2^m
+sets C only to print the first such C, for a claim whose sides split.  A
+claim about C padded by a fixed set passes, on the padded side, only the
+members the pad misses.
 """
 
 from __future__ import annotations
@@ -156,8 +160,10 @@ class ClaimInstance:
     """One measured instance of a quantified claim.
 
     ``lhs`` is the relation or character the claim talks about; ``rhs`` is
-    its proposed equivalent, evaluated by exhaustive enumeration.  When the
-    two split, ``counterexample`` pins the concrete sets showing it.
+    its proposed equivalent, decided on the table: a transfer by the
+    refinement lemma, any other claim from its definition.  When the two
+    split, ``counterexample`` pins the concrete sets showing it; for a
+    transfer that fails, that is the first C of a scan over all 2^m sets.
     """
 
     claim: str
@@ -192,6 +198,17 @@ class AuditReport:
         return not self.disagreements()
 
 
+def _covers(premise: list[int], q: int) -> bool:
+    """Some ``premise`` mask lies inside the mask ``q``.
+
+    Some C hits every premise mask yet misses q exactly when none does: the
+    complement of q is then that C, and a premise mask inside q makes every
+    C that hits it hit q as well.  So a transfer from a premise list to a
+    conclusion list holds iff every conclusion mask is covered.
+    """
+    return any(not p & ~q for p in premise)
+
+
 class _Auditor:
     """Shared state for one audit run: masks, characters, oracle reducts."""
 
@@ -211,6 +228,15 @@ class _Auditor:
         self.e_masks = {
             a: [self._mask(k) for k in ev.substitutes] for a, ev in evidence.items()
         }
+        # The members of N(a) holding no member of E(a): the transfer from
+        # E(a) to N(a) fails iff there is one.  A pad C0 drops the members it
+        # hits from both lists, and a member of N(a) that C0 misses keeps
+        # every E(a) member inside it, since C0 misses those too.  So the
+        # padded transfer fails iff C0 misses one of these members.
+        self.uncovered = {
+            a: [q for q in self.n_masks[a] if not _covers(self.e_masks[a], q)]
+            for a in evidence
+        }
         # The audit has checked the width against its own cap.
         self.reducts = all_reducts_bruteforce(family, self.universe, cap=self.n)
         self.instances: list[ClaimInstance] = []
@@ -226,11 +252,11 @@ class _Auditor:
             attrs = [i for i in range(self.n) if mask_or_set >> i & 1]
         return "{" + ", ".join(set_names(attrs, self.names)) + "}"
 
-    def record(
-        self, claim: str, subject: str, lhs: bool, rhs: bool, detail: str | None
-    ) -> None:
+    def record(self, claim: str, subject: str, lhs: bool, rhs: bool, detail) -> None:
+        """Store one instance.  ``detail`` takes no arguments and returns the
+        counterexample text; it is called only when the two sides split."""
         self.instances.append(
-            ClaimInstance(claim, subject, lhs, rhs, detail if lhs != rhs else None)
+            ClaimInstance(claim, subject, lhs, rhs, detail() if lhs != rhs else None)
         )
 
     def _transfer_violation(
@@ -251,6 +277,14 @@ class _Auditor:
                     return c, missed
         return None
 
+    def _counterexample(
+        self, premise: list[int], conclusion: list[int]
+    ) -> tuple[str, str]:
+        """The names of the first C the scan finds and of the member it
+        misses, for a transfer the refinement lemma has found failing."""
+        c, missed = self._transfer_violation(premise, conclusion)
+        return self._set_str(c), self._set_str(missed)
+
     def substitute_claims(self) -> None:
         """Two characters read off one transfer test per attribute.  An
         attribute is unnecessary iff hitting its substitute sets always
@@ -258,41 +292,41 @@ class _Auditor:
         necessary iff it is no singleton member and some C hits all its
         substitute sets while missing a containing set."""
         for a in range(self.n):
-            violation = self._transfer_violation(self.e_masks[a], self.n_masks[a])
+            transfers = not self.uncovered[a]
             name = self.names[a]
             character = self.characters.character(a)
-            if violation is not None:
-                c, missed = violation
-                transfer_detail = (
-                    f"C={self._set_str(c)} hits every substitute set of "
-                    f"{name} but misses {self._set_str(missed)}"
+
+            def transfer_detail() -> str:
+                if transfers:
+                    return f"every C transfers, yet {name} is {character.value}"
+                c, missed = self._counterexample(self.e_masks[a], self.n_masks[a])
+                return f"C={c} hits every substitute set of {name} but misses {missed}"
+
+            def blocked_detail() -> str:
+                if transfers:
+                    return (
+                        f"no C separates the families of {name}, yet it "
+                        f"is {character.value}"
+                    )
+                c, missed = self._counterexample(self.e_masks[a], self.n_masks[a])
+                return (
+                    f"C={c} hits the substitute sets of {name} and misses "
+                    f"{missed}, yet {name} is {character.value}"
                 )
-                blocked_detail = (
-                    f"C={self._set_str(c)} hits the substitute sets of "
-                    f"{name} and misses {self._set_str(missed)}, "
-                    f"yet {name} is {character.value}"
-                )
-            else:
-                transfer_detail = (
-                    f"every C transfers, yet {name} is {character.value}"
-                )
-                blocked_detail = (
-                    f"no C separates the families of {name}, yet it "
-                    f"is {character.value}"
-                )
+
             subject = f"a={name}"
             self.record(
                 "substitute_transfer",
                 subject,
                 character is Character.UNNECESSARY,
-                violation is None,
+                transfers,
                 transfer_detail,
             )
             self.record(
                 "blocked_substitute",
                 subject,
                 character is Character.RELATIVE_NECESSARY,
-                frozenset({a}) not in self.family and violation is not None,
+                frozenset({a}) not in self.family and not transfers,
                 blocked_detail,
             )
 
@@ -309,21 +343,25 @@ class _Auditor:
                     offender = d
                     break
             rhs = frozenset({a}) not in self.family and offender is None
-            lhs = (
-                self.characters.character(a) is Character.RELATIVE_NECESSARY
-            )
-            if offender is not None:
-                detail = (
-                    f"member {self._set_str(offender)} avoids {self.names[a]} "
-                    f"but fits inside every containing set"
-                )
-            else:
-                detail = (
+            character = self.characters.character(a)
+
+            def detail() -> str:
+                if offender is not None:
+                    return (
+                        f"member {self._set_str(offender)} avoids {self.names[a]} "
+                        f"but fits inside every containing set"
+                    )
+                return (
                     f"condition and character split for {self.names[a]}: it is "
-                    f"{self.characters.character(a).value}"
+                    f"{character.value}"
                 )
+
             self.record(
-                "avoiding_escape", f"a={self.names[a]}", lhs, rhs, detail
+                "avoiding_escape",
+                f"a={self.names[a]}",
+                character is Character.RELATIVE_NECESSARY,
+                rhs,
+                detail,
             )
 
     def minimal_escape_claims(self) -> None:
@@ -335,26 +373,27 @@ class _Auditor:
             for a in sorted(d):
                 rest = d - {a}
                 rhs = any(not rest & b for b in self.reducts)
-                detail = f"no reduct avoids {self._set_str(rest)}"
                 subject = f"d={self._set_str(d)}, a={self.names[a]}"
-                self.record("minimal_escape", subject, True, rhs, detail)
+                self.record(
+                    "minimal_escape",
+                    subject,
+                    True,
+                    rhs,
+                    lambda: f"no reduct avoids {self._set_str(rest)}",
+                )
 
     def coupled_claims(self) -> None:
         """Coupling of two attributes equated with three transfer conditions:
         hitting one containing family forces the other, extension by one
         attribute forces the other, and the set-difference variant.  The
         last two are one test worded two ways, since C∪{x} hits N(y) exactly
-        when C hits the members of N(y) lacking x, so one scan serves both."""
+        when C hits the members of N(y) lacking x, so one test serves both."""
         for a, b in combinations(range(self.n), 2):
             lhs = coupled(self.reducts, a, b)
             subject = f"a={self.names[a]}, b={self.names[b]}"
-            fallback = (
-                f"transfers hold both ways, yet some reduct separates "
-                f"{self.names[a]} from {self.names[b]}"
-            )
-            plain = self._coupling_violation(a, b, lacking=False)
-            restricted = self._coupling_violation(a, b, lacking=True)
-            for claim, violation, wording in (
+            plain = self._coupling_split(a, b, lacking=False)
+            restricted = self._coupling_split(a, b, lacking=True)
+            for claim, split, wording in (
                 (
                     "coupled_partition_transfer",
                     plain,
@@ -374,30 +413,33 @@ class _Auditor:
                     "but misses {missed}",
                 ),
             ):
-                detail = fallback
-                if violation is not None:
-                    x, y, c, missed = violation
-                    detail = wording.format(
-                        x=self.names[x],
-                        y=self.names[y],
-                        c=self._set_str(c),
-                        missed=self._set_str(missed),
-                    )
-                self.record(claim, subject, lhs, violation is None, detail)
 
-    def _coupling_violation(
+                def detail() -> str:
+                    if split is None:
+                        return (
+                            f"transfers hold both ways, yet some reduct "
+                            f"separates {self.names[a]} from {self.names[b]}"
+                        )
+                    x, y, premise = split
+                    c, missed = self._counterexample(premise, self.n_masks[x])
+                    return wording.format(
+                        x=self.names[x], y=self.names[y], c=c, missed=missed
+                    )
+
+                self.record(claim, subject, lhs, split is None, detail)
+
+    def _coupling_split(
         self, a: int, b: int, lacking: bool
-    ) -> tuple[int, int, int, int] | None:
-        """The first (x, y, C, missed), trying x = a before x = b, where C
-        hits every member of N(y), or only those lacking x when ``lacking``,
-        yet misses the member ``missed`` of N(x)."""
+    ) -> tuple[int, int, list[int]] | None:
+        """The first (x, y, premise), trying x = a before x = b, where some C
+        hits every member of ``premise`` yet misses a member of N(x); the
+        premise is N(y), or only its members lacking x when ``lacking``."""
         for x, y in ((a, b), (b, a)):
             premise = self.n_masks[y]
             if lacking:
                 premise = [m for m in premise if not m >> x & 1]
-            hit = self._transfer_violation(premise, self.n_masks[x])
-            if hit is not None:
-                return x, y, *hit
+            if not all(_covers(premise, q) for q in self.n_masks[x]):
+                return x, y, premise
         return None
 
     def exclusion_extension_claims(self) -> None:
@@ -415,27 +457,32 @@ class _Auditor:
             for a in range(self.n):
                 if a in c:
                     continue
-                lhs = excludes(self.reducts, c, a)
                 # C∪D hits a containing set C misses exactly when D does.
-                violation = self._transfer_violation(
-                    [k for k in self.e_masks[a] if not k & c_mask],
-                    [k for k in self.n_masks[a] if not k & c_mask],
-                )
-                rhs = violation is None
-                if violation is not None:
-                    d, missed = violation
-                    detail = (
-                        f"D={self._set_str(d)} hits the untouched substitute "
-                        f"sets of {self.names[a]}, but C∪D misses "
-                        f"{self._set_str(missed)}"
+                rhs = all(q & c_mask for q in self.uncovered[a])
+
+                def detail() -> str:
+                    if rhs:
+                        return (
+                            f"every D transfers, yet some reduct extends "
+                            f"{self._set_str(c)} with {self.names[a]}"
+                        )
+                    d, missed = self._counterexample(
+                        [k for k in self.e_masks[a] if not k & c_mask],
+                        [k for k in self.n_masks[a] if not k & c_mask],
                     )
-                else:
-                    detail = (
-                        f"every D transfers, yet some reduct extends "
-                        f"{self._set_str(c)} with {self.names[a]}"
+                    return (
+                        f"D={d} hits the untouched substitute sets of "
+                        f"{self.names[a]}, but C∪D misses {missed}"
                     )
+
                 subject = f"C={self._set_str(c)}, a={self.names[a]}"
-                self.record("exclusion_extension", subject, lhs, rhs, detail)
+                self.record(
+                    "exclusion_extension",
+                    subject,
+                    excludes(self.reducts, c, a),
+                    rhs,
+                    detail,
+                )
 
 
 def _partition_claims(
@@ -454,16 +501,22 @@ def _partition_claims(
                 continue
             lhs = refines(parts[a], parts[b])
             witness = next((k for k in evidence[b].containing if a not in k), None)
-            rhs = witness is None
-            detail = (
-                f"member {auditor._set_str(witness)} holds {names[b]} without "
-                f"{names[a]}"
-                if witness is not None
-                else f"every member holding {names[b]} holds {names[a]}, yet "
-                f"the partitions disagree"
-            )
+
+            def finer_detail() -> str:
+                if witness is not None:
+                    return (
+                        f"member {auditor._set_str(witness)} holds {names[b]} "
+                        f"without {names[a]}"
+                    )
+                return (
+                    f"every member holding {names[b]} holds {names[a]}, yet "
+                    f"the partitions disagree"
+                )
+
             subject = f"a={names[a]}, b={names[b]}"
-            auditor.record("finer_membership", subject, lhs, rhs, detail)
+            auditor.record(
+                "finer_membership", subject, lhs, witness is None, finer_detail
+            )
             if lhs:
                 cohabit = next(
                     (r for r in auditor.reducts if a in r and b in r), None
@@ -473,8 +526,7 @@ def _partition_claims(
                     subject,
                     True,
                     cohabit is None,
-                    f"reduct {auditor._set_str(cohabit or frozenset())} "
-                    f"contains both",
+                    lambda: f"reduct {auditor._set_str(cohabit)} contains both",
                 )
     for a, b in combinations(range(n), 2):
         lhs = parts[a] == parts[b]
@@ -485,8 +537,8 @@ def _partition_claims(
             subject,
             lhs,
             rhs,
-            "equal member lists with unequal partitions"
-            if rhs and not lhs
+            lambda: "equal member lists with unequal partitions"
+            if rhs
             else "equal partitions with unequal member lists",
         )
 
@@ -494,10 +546,13 @@ def _partition_claims(
 def audit_theorems(system: InformationSystem, max_attrs: int = 10) -> AuditReport:
     """Measure every cataloged claim on one table, recording both sides.
 
-    Quantifiers over attribute sets are evaluated by enumerating all
-    subsets of the attribute universe, so tables wider than ``max_attrs``
-    are refused.  Disagreements are findings, not errors: each carries a
-    concrete counterexample and the report never raises because of one.
+    Transfer claims are decided by the refinement lemma, with no
+    enumeration of attribute sets.  Three parts still grow with 2^m: the
+    scan for a failing transfer's printed counterexample, the brute-force
+    reducts, and the exclusion domain of every subset of every reduct; so
+    tables wider than ``max_attrs`` are refused.  Disagreements are
+    findings, not errors: each carries a concrete counterexample and the
+    report never raises because of one.
     """
     if system.n_attributes > max_attrs:
         raise ResourceLimitError(

@@ -578,6 +578,15 @@ class TestInputHandling:
         assert out == ""
         assert err == f"reducts: error: {path}: empty attribute name\n"
 
+    def test_blank_family_name(self, capsys, tmp_path):
+        # A JSON name of spaces is refused as a CSV header cell of spaces is.
+        path = tmp_path / "blank.json"
+        path.write_text('[[" ", "a"], ["a"]]')
+        code, out, err = run_cli(capsys, ["classify", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"reducts: error: {path}: blank attribute name in family input\n"
+
     def test_kind_override(self, capsys, tmp_path, walkthrough_rows):
         path = tmp_path / "family.txt"
         path.write_text(json.dumps(walkthrough_rows))

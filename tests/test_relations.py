@@ -2,7 +2,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -339,6 +339,20 @@ class TestAudit:
                 assert inst.counterexample
 
 
+# Claims whose right-hand side is a transfer: some C hits a premise list of
+# members while missing one of a conclusion list.
+TRANSFER_CLAIMS = frozenset(
+    {
+        "substitute_transfer",
+        "blocked_substitute",
+        "coupled_partition_transfer",
+        "coupled_extension_transfer",
+        "coupled_difference_transfer",
+        "exclusion_extension",
+    }
+)
+
+
 @st.composite
 def padded_transfers(draw):
     """Mask lists over up to 6 attributes, with a pad for each side."""
@@ -361,6 +375,61 @@ class TestTransferScan:
         assert folded == padded_transfer_violation(
             n, premise, conclusion, premise_extra, conclusion_extra
         )
+
+    @given(padded_transfers())
+    @example((3, [], [], 0, 0))
+    @example((3, [], [5], 0, 0))
+    @example((3, [6], [], 0, 0))
+    def test_refinement_decides_the_padded_scan(self, case):
+        # The audit decides each transfer by refinement and scans only to
+        # print a counterexample, so the scan is the oracle for the decision.
+        n, premise, conclusion, premise_extra, conclusion_extra = case
+        folded = [p for p in premise if not p & premise_extra]
+        holds = all(
+            relations._covers(folded, q)
+            for q in conclusion
+            if not q & conclusion_extra
+        )
+        assert holds == (
+            padded_transfer_violation(
+                n, premise, conclusion, premise_extra, conclusion_extra
+            )
+            is None
+        )
+        # One pad C0 on both sides, as in an exclusion instance: the
+        # transfer holds iff C0 hits every uncovered member, computed once
+        # without the pad.
+        uncovered = [q for q in conclusion if not relations._covers(premise, q)]
+        assert all(q & premise_extra for q in uncovered) == (
+            padded_transfer_violation(
+                n, premise, conclusion, premise_extra, premise_extra
+            )
+            is None
+        )
+
+    def test_scan_runs_only_for_split_transfers(self, monkeypatch):
+        scans = []
+        scan = _Auditor._transfer_violation
+
+        def counted(self, premise, conclusion):
+            scans.append((premise, conclusion))
+            return scan(self, premise, conclusion)
+
+        monkeypatch.setattr(_Auditor, "_transfer_violation", counted)
+        rng = random.Random(23)
+        agreeing = scanned = 0
+        for _ in range(40):
+            scans.clear()
+            report = audit_theorems(random_system(rng, 8, 6))
+            split = sum(
+                not i.agree for i in report.instances if i.claim in TRANSFER_CLAIMS
+            )
+            assert len(scans) <= split
+            if report.all_agree:
+                agreeing += 1
+                assert not scans
+            scanned += len(scans)
+        assert agreeing and scanned
 
     def test_extension_and_difference_coupling_agree(self):
         # C∪{x} hits N(y) exactly when C hits the members of N(y) lacking x,
